@@ -81,8 +81,9 @@ def _hom_value(args) -> tuple[int, EdgeColouredGraph, EdgeColouredGraph]:
 
 def cmd_hom(args) -> int:
     value, _, _ = _hom_value(args)
-    print(value)
-    _emit(args, {"command": "hom", "value": str(value)})
+    text = verify.digits(value)
+    print(text)
+    _emit(args, {"command": "hom", "value": text})
     return EXIT_PASS
 
 
@@ -91,9 +92,9 @@ def cmd_density(args) -> int:
     if host.n == 0:
         print("density undefined for an empty host", file=sys.stderr)
         return EXIT_USAGE
-    d = Fraction(value, host.n**pattern.n)
-    print(f"{d.numerator}/{d.denominator}")
-    _emit(args, {"command": "density", "value": f"{d.numerator}/{d.denominator}"})
+    text = verify.fraction_text(Fraction(value, host.n**pattern.n))
+    print(text)
+    _emit(args, {"command": "density", "value": text})
     return EXIT_PASS
 
 
@@ -167,13 +168,13 @@ def cmd_bound_check(args) -> int:
         ok = result.density <= bound
         print(
             f"bound-check n={args.exhaustive}: max density "
-            f"{result.density.numerator}/{result.density.denominator} vs bound "
-            f"{bound.numerator}/{bound.denominator} -> {'ok' if ok else 'VIOLATED'}"
+            f"{verify.fraction_text(result.density)} vs bound "
+            f"{verify.fraction_text(bound)} -> {'ok' if ok else 'VIOLATED'}"
         )
         print(f"argmax host: {result.host.canonical_key()} (index {result.index})")
         records.append({
-            "max_density": f"{result.density.numerator}/{result.density.denominator}",
-            "bound": f"{bound.numerator}/{bound.denominator}",
+            "max_density": verify.fraction_text(result.density),
+            "bound": verify.fraction_text(bound),
             "argmax": result.host.canonical_key(),
             "index": result.index,
             "holds": ok,
@@ -190,12 +191,15 @@ def cmd_bound_check(args) -> int:
             else:
                 print(
                     f"n={pt.n}: red_degree={pt.red_degree} "
-                    f"t={pt.density.numerator}/{pt.density.denominator} "
+                    f"t={verify.fraction_text(pt.density)} "
                     f"gap={float(pt.gap):.6f}"
                 )
             records.append(pt.record())
-        gaps = [pt.gap for pt in points if pt.gap is not None]
-        ok = all(g >= 0 for g in gaps) and (len(gaps) < 2 or gaps[-1] < gaps[0])
+        # Judged by n, not by the order the sizes were given in.
+        judged = sorted((pt for pt in points if pt.gap is not None), key=lambda pt: pt.n)
+        ok = all(pt.gap >= 0 for pt in judged)
+        if judged and judged[0].n != judged[-1].n:
+            ok = ok and judged[-1].gap < judged[0].gap
     _emit(args, {"command": "bound-check", "records": records, "pass": ok})
     return EXIT_PASS if ok else EXIT_CHECK_FAILED
 
@@ -228,7 +232,7 @@ def cmd_lp_search(args) -> int:
         return EXIT_CHECK_FAILED
     triple = lpsearch.scale_to_integers(solution)
     t_value = solution.assignment[lpsearch.t_index(args.k)]
-    print(f"lp-search k={args.k}: feasible, t = {t_value.numerator}/{t_value.denominator}")
+    print(f"lp-search k={args.k}: feasible, t = {verify.fraction_text(t_value)}")
     print(f"x = {triple.x}")
     print(f"y = {triple.y}")
     print(f"z = {triple.z}")
@@ -245,7 +249,7 @@ def cmd_lp_search(args) -> int:
         "command": "lp-search",
         "k": args.k,
         "status": "feasible",
-        "t": f"{t_value.numerator}/{t_value.denominator}",
+        "t": verify.fraction_text(t_value),
         "x": list(triple.x),
         "y": list(triple.y),
         "z": list(triple.z),

@@ -8,9 +8,14 @@ sequence entries sum to one.  Any feasible rational point scales by the
 LCM of its denominators to an integer triple that synthesises into a
 uniformly covered forest.
 
-The solver is a two-phase primal simplex over ``Fraction`` with Bland's
-anti-cycling rule, so feasibility verdicts are exact and termination is
-guaranteed.  Tie/fix rows are eliminated exactly before pivoting starts.
+The solver is a two-phase primal simplex with Bland's anti-cycling rule,
+so feasibility verdicts are exact and termination is guaranteed.  Tie/fix
+rows are eliminated exactly before pivoting starts.  Each tableau row is
+held as integer numerators over one positive denominator and reduced by
+their gcd after every pivot (fraction-free elimination in the manner of
+Edmonds 1967 and Bareiss 1968), so no per-entry ``Fraction`` work is done.
+The artificial columns are deleted once phase 1 has driven them out of the
+basis, so phase 2 needs no big-M cost.
 """
 
 from __future__ import annotations
@@ -30,6 +35,10 @@ class LpRow:
     relation: str            # "=" or ">="
     rhs: Fraction
     kind: str = "extra"      # vertex | edge | tie | fix | norm | extra
+
+    def __post_init__(self):
+        if self.relation not in ("=", ">="):
+            raise ValueError(f"row relation must be '=' or '>=', not {self.relation!r}")
 
 
 @dataclass(frozen=True)
@@ -172,12 +181,27 @@ def witness_assignment(k: int, s: SequenceTriple) -> tuple[Fraction, ...]:
 
 # -- exact presolve -----------------------------------------------------------
 
-def _presolve(problem: LpProblem):
+@dataclass(frozen=True)
+class Presolved:
+    """A problem after exact elimination of fixes and ties.
+
+    rep maps every original column to the column that carries its value;
+    fixed maps such columns to constants; live lists the free ones in
+    column order; rows are the constraints left over, each as (coefficients
+    keyed by column, relation, rhs).
+    """
+
+    live: tuple[int, ...]
+    rep: tuple[int, ...]
+    fixed: dict[int, Fraction]
+    rows: tuple[tuple[dict[int, Fraction], str, Fraction], ...]
+
+
+def _presolve(problem: LpProblem) -> Optional[Presolved]:
     """Eliminate single-variable fixes and two-variable ties exactly.
 
-    Returns (reduced column list, representative map, fixed values, rows)
-    or the string "infeasible".  rep maps every original column to the
-    column that carries its value; fixed maps columns to constants.
+    Returns None when a fix is negative or a row reduces to a false
+    constant, which proves the problem infeasible.
     """
     num = problem.num_vars
     parent = list(range(num))
@@ -189,13 +213,13 @@ def _presolve(problem: LpProblem):
         return a
 
     fixed: dict[int, Fraction] = {}
-    pending = [(row.coeffs, row.relation, row.rhs, row.kind) for row in problem.rows]
+    pending = [(row.coeffs, row.relation, row.rhs) for row in problem.rows]
     remaining = []
     changed = True
     while changed:
         changed = False
         next_pending = []
-        for coeffs, relation, rhs, kind in pending:
+        for coeffs, relation, rhs in pending:
             folded: dict[int, Fraction] = {}
             const = rhs
             for col, c in enumerate(coeffs):
@@ -211,7 +235,7 @@ def _presolve(problem: LpProblem):
                 (col, coeff), = folded.items()
                 value = const / coeff
                 if value < 0:
-                    return "infeasible"
+                    return None
                 fixed[col] = value
                 changed = True
                 continue
@@ -224,163 +248,176 @@ def _presolve(problem: LpProblem):
             if not folded:
                 ok = const == 0 if relation == "=" else const <= 0
                 if not ok:
-                    return "infeasible"
+                    return None
                 continue
-            next_pending.append((dict(folded), relation, const, kind))
+            next_pending.append((folded, relation, const))
         if changed:
             pending = [
-                (tuple(row.get(col, Fraction(0)) for col in range(num)), rel, rhs, kind)
-                for row, rel, rhs, kind in next_pending
+                (tuple(row.get(col, Fraction(0)) for col in range(num)), rel, rhs)
+                for row, rel, rhs in next_pending
             ]
         else:
             remaining = next_pending
-    for col in list(fixed):
-        if find(col) != col and find(col) in fixed and fixed[find(col)] != fixed[col]:
-            return "infeasible"
-    live = sorted({find(c) for c in range(num)} - set(fixed))
-    return live, find, fixed, remaining
+    rep = tuple(find(c) for c in range(num))
+    live = tuple(sorted(set(rep) - set(fixed)))
+    return Presolved(live, rep, fixed, tuple(remaining))
 
 
 # -- simplex core -------------------------------------------------------------
 
-def _bland_simplex(tableau, basis, cost, num_structural):
-    """Minimise over the tableau in place; returns "optimal" or "unbounded".
+def _lowest(nums: list[int], den: int) -> tuple[list[int], int]:
+    g = math.gcd(*nums, den)
+    if g == 1:
+        return nums, den
+    return [v // g for v in nums], den // g
 
-    cost is the reduced-cost row (last entry = minus the objective value).
+
+class _Row:
+    """A tableau row kept exact as integer numerators over one positive
+    denominator, in lowest terms: column j holds nums[j] / den, and the
+    right-hand side is last."""
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: list[int], den: int):
+        self.nums, self.den = _lowest(nums, den)
+
+    @classmethod
+    def exact(cls, width: int, entries: dict[int, Fraction]) -> "_Row":
+        """The row holding the given exact values, and zeros elsewhere."""
+        den = math.lcm(*(v.denominator for v in entries.values()))
+        nums = [0] * width
+        for col, v in entries.items():
+            nums[col] = v.numerator * (den // v.denominator)
+        return cls(nums, den)
+
+    def eliminate(self, pivot: "_Row", c: int) -> None:
+        """Subtract the multiple of pivot, which holds 1 in column c, that
+        clears column c: (row*p - f*pivot) / (den*p) with p = pivot.den."""
+        f, p = self.nums[c], pivot.den
+        self.nums, self.den = _lowest(
+            [a * p - f * b for a, b in zip(self.nums, pivot.nums)], self.den * p
+        )
+
+
+def _bland_simplex(rows: list[_Row], basis: list[int], cost: _Row) -> str:
+    """Minimise over the rows in place; returns "optimal" or "unbounded".
+
+    cost holds the reduced costs (last entry = minus the objective value).
     Entering column: lowest index with negative reduced cost.  Leaving row:
-    lexicographic (ratio, basis index).  Bland's rule, so no cycling.
+    lexicographic (ratio, basis index), where the ratio rhs/a of a row is
+    the quotient of its numerators (the row denominator cancels) and is
+    compared by cross-multiplication.  Bland's rule, so no cycling.
     """
-    m = len(tableau)
-    width = len(cost)
+    last = len(cost.nums) - 1
     while True:
-        entering = -1
-        for col in range(width - 1):
-            if cost[col] < 0:
-                entering = col
-                break
+        entering = next((col for col in range(last) if cost.nums[col] < 0), -1)
         if entering < 0:
             return "optimal"
         leaving = -1
-        best = None
-        for r in range(m):
-            coeff = tableau[r][entering]
-            if coeff > 0:
-                ratio = tableau[r][-1] / coeff
-                key = (ratio, basis[r])
-                if best is None or key < best:
-                    best = key
-                    leaving = r
+        best_rhs = best_a = 0
+        for r, row in enumerate(rows):
+            a = row.nums[entering]
+            if a > 0:
+                rhs = row.nums[-1]
+                if leaving >= 0:
+                    lhs, ref = rhs * best_a, best_rhs * a
+                    if lhs > ref or (lhs == ref and basis[r] > basis[leaving]):
+                        continue
+                leaving, best_rhs, best_a = r, rhs, a
         if leaving < 0:
             return "unbounded"
-        _pivot(tableau, basis, cost, leaving, entering)
+        _pivot(rows, basis, cost, leaving, entering)
 
 
-def _pivot(tableau, basis, cost, r, c):
-    row = tableau[r]
-    inv = 1 / row[c]
-    tableau[r] = row = [v * inv for v in row]
-    for rr in range(len(tableau)):
-        if rr != r and tableau[rr][c]:
-            factor = tableau[rr][c]
-            tableau[rr] = [a - factor * b for a, b in zip(tableau[rr], row)]
-    if cost[c]:
-        factor = cost[c]
-        for i in range(len(cost)):
-            cost[i] -= factor * row[i]
+def _pivot(rows: list[_Row], basis: list[int], cost: Optional[_Row], r: int, c: int) -> None:
+    """Make column c basic in row r.  Rows with 0 in column c are untouched;
+    the cost row, when given, is updated like any other row."""
+    pivot = rows[r]
+    p = pivot.nums[c]
+    pivot.nums, pivot.den = _lowest(pivot.nums if p > 0 else [-v for v in pivot.nums], abs(p))
+    for rr, row in enumerate(rows):
+        if rr != r and row.nums[c]:
+            row.eliminate(pivot, c)
+    if cost is not None and cost.nums[c]:
+        cost.eliminate(pivot, c)
     basis[r] = c
 
 
 def solve_feasible(problem: LpProblem) -> LpSolution:
-    """Exact phase-1 (+ optional phase-2) simplex over the problem rows."""
+    """Exact phase-1 (+ optional phase-2) simplex over the problem rows.
+
+    Phase 1 minimises the sum of one artificial per row.  Artificials still
+    basic at zero are then pivoted out (or their redundant rows dropped),
+    and the artificial columns are deleted before phase 2 minimises the
+    objective over the same basis.
+    """
     pre = _presolve(problem)
-    if pre == "infeasible":
+    if pre is None:
         return LpSolution("infeasible", k=problem.k)
-    live, find, fixed, remaining = pre
-    col_of = {orig: i for i, orig in enumerate(live)}
-    n = len(live)
-
-    rows = []
-    for folded, relation, rhs, _ in remaining:
-        coeffs = [Fraction(0)] * n
-        for col, c in folded.items():
-            coeffs[col_of[col]] = c
-        if rhs < 0:
-            coeffs = [-c for c in coeffs]
-            rhs = -rhs
-            relation = {"=": "=", ">=": "<="}[relation]
-        rows.append((coeffs, relation, rhs))
-
-    num_slack = sum(1 for _, rel, _ in rows if rel in ("<=", ">="))
-    m = len(rows)
+    col_of = {orig: i for i, orig in enumerate(pre.live)}
+    n = len(pre.live)
+    num_slack = sum(1 for _, relation, _ in pre.rows if relation != "=")
+    m = len(pre.rows)
     width = n + num_slack + m + 1   # structural + slack/surplus + artificial + rhs
-    tableau = []
-    basis = []
-    slack_at = n
     art_at = n + num_slack
-    for i, (coeffs, relation, rhs) in enumerate(rows):
-        row = coeffs + [Fraction(0)] * (num_slack + m) + [rhs]
-        if relation in ("<=", ">="):
-            row[slack_at] = Fraction(1) if relation == "<=" else Fraction(-1)
+    slack_at = n
+    rows: list[_Row] = []
+    basis: list[int] = []
+    for i, (folded, relation, rhs) in enumerate(pre.rows):
+        # Rows with a negative rhs are negated, so a >= row becomes <=.
+        sign = -1 if rhs < 0 else 1
+        entries = {col_of[col]: sign * v for col, v in folded.items()}
+        entries[width - 1] = sign * rhs
+        if relation != "=":
+            entries[slack_at] = -sign
             slack_at += 1
-        art_col = art_at + i
-        row[art_col] = Fraction(1)
-        tableau.append(row)
-        basis.append(art_col)
+        entries[art_at + i] = 1
+        rows.append(_Row.exact(width, entries))
+        basis.append(art_at + i)
 
-    # Phase 1: minimise the sum of artificials.
-    cost = [Fraction(0)] * width
-    for i in range(m):
-        cost[art_at + i] = Fraction(1)
-    for r in range(m):
-        factor = cost[basis[r]]
-        if factor:
-            for i in range(width):
-                cost[i] -= factor * tableau[r][i]
-    status = _bland_simplex(tableau, basis, cost, n)
-    if status == "unbounded" or -cost[-1] != 0:
+    # Phase 1: minimise the sum of artificials, priced out over the basis.
+    cost = _Row([0] * art_at + [1] * m + [0], 1)
+    for row, b in zip(rows, basis):
+        cost.eliminate(row, b)
+    status = _bland_simplex(rows, basis, cost)
+    if status == "unbounded" or cost.nums[-1]:
         return LpSolution("infeasible", k=problem.k)
 
     # Drive leftover (necessarily zero-valued) artificials out of the basis.
     for r in range(m - 1, -1, -1):
         if basis[r] >= art_at:
-            pivot_col = next(
-                (c for c in range(art_at) if tableau[r][c] != 0), None
-            )
+            nums = rows[r].nums
+            pivot_col = next((c for c in range(art_at) if nums[c]), None)
             if pivot_col is None:
-                del tableau[r]
+                del rows[r]
                 del basis[r]
             else:
-                _pivot(tableau, basis, cost, r, pivot_col)
+                _pivot(rows, basis, None, r, pivot_col)
+    for row in rows:
+        row.nums, row.den = _lowest(row.nums[:art_at] + row.nums[-1:], row.den)
 
     if problem.objective is not None:
-        obj = [Fraction(0)] * width
+        weights: dict[int, Fraction] = {}
         for orig, c in enumerate(problem.objective):
-            if not c:
-                continue
-            root = find(orig)
-            if root in fixed:
-                continue   # constant shift, irrelevant to the argmin
-            obj[col_of[root]] += c
-        for i in range(m):
-            obj[art_at + i] = Fraction(10**12)   # keep artificials unused
-        for r in range(len(tableau)):
-            factor = obj[basis[r]]
-            if factor:
-                for i in range(width):
-                    obj[i] -= factor * tableau[r][i]
-        status = _bland_simplex(tableau, basis, obj, n)
-        if status == "unbounded":
+            root = pre.rep[orig]
+            if c and root not in pre.fixed:   # fixed columns shift the value only
+                weights[col_of[root]] = weights.get(col_of[root], 0) + c
+        obj = _Row.exact(art_at + 1, weights)
+        for row, b in zip(rows, basis):
+            if obj.nums[b]:
+                obj.eliminate(row, b)
+        if _bland_simplex(rows, basis, obj) == "unbounded":
             raise ValueError("objective is unbounded below on the feasible region")
 
     reduced = [Fraction(0)] * n
-    for r, b in enumerate(basis):
+    for row, b in zip(rows, basis):
         if b < n:
-            reduced[b] = tableau[r][-1]
-    assignment = []
-    for orig in range(problem.num_vars):
-        root = find(orig)
-        assignment.append(fixed[root] if root in fixed else reduced[col_of[root]])
-    solution = LpSolution("feasible", tuple(assignment), problem.k)
+            reduced[b] = Fraction(row.nums[-1], row.den)
+    assignment = tuple(
+        pre.fixed[root] if root in pre.fixed else reduced[col_of[root]] for root in pre.rep
+    )
+    solution = LpSolution("feasible", assignment, problem.k)
     for row in problem.rows:
         if not row_satisfied(row, solution.assignment):
             raise ArithmeticError("solver returned an assignment violating a row")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -27,6 +28,17 @@ from .ecgraph import (
     symmetric_residues,
 )
 from .homcount import hom, hom_forest, is_forest
+
+
+def digits(n: int) -> str:
+    """The decimal digits of n, as str(n) gives them.  Decimal is not held
+    to Python's int-to-str digit limit (4,300 by default), so an exact count
+    or density of any size prints instead of raising ValueError."""
+    return str(Decimal(n))
+
+
+def fraction_text(q: Fraction) -> str:
+    return f"{digits(q.numerator)}/{digits(q.denominator)}"
 
 
 @dataclass(frozen=True)
@@ -50,8 +62,8 @@ class InequalityReport:
             "name": self.name,
             "k": self.k,
             "host": self.host,
-            "lhs": f"{self.lhs.numerator}/{self.lhs.denominator}",
-            "rhs": f"{self.rhs.numerator}/{self.rhs.denominator}",
+            "lhs": fraction_text(self.lhs),
+            "rhs": fraction_text(self.rhs),
             "holds": self.holds,
         }
 
@@ -132,8 +144,8 @@ class TightnessPoint:
         return {
             "n": self.n,
             "red_degree": self.red_degree,
-            "density": None if self.density is None else f"{self.density.numerator}/{self.density.denominator}",
-            "gap": None if self.gap is None else f"{self.gap.numerator}/{self.gap.denominator}",
+            "density": None if self.density is None else fraction_text(self.density),
+            "gap": None if self.gap is None else fraction_text(self.gap),
             "note": self.note,
         }
 

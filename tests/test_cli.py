@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -49,6 +50,15 @@ class TestHomDensity:
         assert main(["density", "--pattern", p3_file, "--host", triangle_file]) == 0
         assert capsys.readouterr().out.strip() == "2/81"
 
+    def test_density_past_the_int_to_str_limit(self, tmp_path, capsys, triangle_file):
+        # 5,000 disjoint red edges into the triangle: the density is
+        # 4^5000 / 3^10000, whose denominator has 4,772 digits.
+        pattern = tmp_path / "matching.ecg"
+        write_ecg(EdgeColouredGraph.make(10_000, [(2 * i, 2 * i + 1, RED) for i in range(5_000)]), pattern)
+        assert main(["density", "--pattern", str(pattern), "--host", triangle_file]) == 0
+        num, den = capsys.readouterr().out.strip().split("/")
+        assert len(num) == 3011 and len(den) == 4772
+
     def test_methods_agree(self, capsys, p3_file, triangle_file):
         for method in ("brute", "forest"):
             assert main(
@@ -89,6 +99,19 @@ class TestVerifyIneq:
     def test_exhaustive_tiny(self):
         assert main(["verify-ineq", "--k", "1", "--hosts", "exhaustive", "--n", "2"]) == 0
 
+    def test_k3_densities_past_the_int_to_str_limit(self, tmp_path):
+        # Seed 5 draws a 5-vertex host whose exact k = 3 densities have
+        # numbers of about 15,000 bits, past the 4,300-digit str() limit.
+        report = tmp_path / "ineq.json"
+        code = main([
+            "--json", str(report), "verify-ineq", "--k", "3", "--hosts", "random",
+            "--count", "1", "--n-max", "6", "--seed", "5",
+        ])
+        assert code == 0
+        records = json.loads(report.read_text())["records"]
+        lengths = [len(part) for r in records for side in ("lhs", "rhs") for part in r[side].split("/")]
+        assert max(lengths) > 4300
+
 
 class TestBoundCheck:
     def test_exhaustive_odd(self, capsys):
@@ -100,6 +123,17 @@ class TestBoundCheck:
         code = main(["bound-check", "--pattern-k", "1", "--odd", "--tightness", "6,12,18"])
         assert code == 0
         assert "n=18" in capsys.readouterr().out
+
+    def test_tightness_judged_by_n_not_input_order(self, tmp_path):
+        for order in ("30,6", "6,30"):
+            report = tmp_path / f"{order}.json"
+            code = main([
+                "--json", str(report), "bound-check", "--pattern-k", "1", "--odd",
+                "--tightness", order,
+            ])
+            assert code == 0
+            records = json.loads(report.read_text())["records"]
+            assert [r["n"] for r in records] == [int(n) for n in order.split(",")]
 
     def test_budget_refusal_exit_code(self):
         code = main([

@@ -1,8 +1,11 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from altpaths import lpsearch
 from altpaths.constructions import SequenceTriple, build_h_odd, plan_odd, sequences
 from altpaths.covering import cover_profile, cover_profile_blocks
 from altpaths.lpsearch import (
@@ -123,6 +126,10 @@ class TestSolver:
         )
         assert solve_feasible(build_constraints(1, extras)).feasible
 
+    def test_unknown_relation_rejected(self):
+        with pytest.raises(ValueError, match="relation"):
+            make_row(2, {0: 1}, relation="<=", rhs=1)
+
     def test_extra_row_can_force_infeasible(self):
         # Demand a cover target below anything the normalisation allows.
         extras = (make_row(12, {t_index(1): 1}, relation="=", rhs=Fraction(-1)),)
@@ -180,3 +187,54 @@ class TestSynthesis:
         triple = scale_to_integers(solve_feasible(build_constraints(3)))
         forest = synthesize_forest(3, triple)
         assert cover_profile(forest).uniform_multiplicity is not None
+
+
+ORACLE = json.loads((Path(__file__).parent / "fixtures" / "lp_oracle.json").read_text())
+
+
+def _oracle_rows(k, entries):
+    index = {name: i for i, name in enumerate(variable_names(k))}
+    rows = []
+    for entry in entries:
+        coeffs = {index[name]: Fraction(v) for name, v in entry["coeffs"].items()}
+        rows.append(make_row(len(index), coeffs, entry["relation"], Fraction(entry["rhs"])))
+    return rows
+
+
+def _solve_counting_pivots(problem, monkeypatch):
+    count = 0
+    inner = lpsearch._pivot
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return inner(*args)
+
+    monkeypatch.setattr(lpsearch, "_pivot", counted)
+    return solve_feasible(problem), count
+
+
+class TestOracleFixture:
+    """tests/fixtures/lp_oracle.json holds the answers and pivot counts of
+    the earlier Fraction-tableau solver (phase 2 priced the artificials at a
+    fixed big-M).  The integer-row solver must reproduce them exactly."""
+
+    @pytest.mark.parametrize("entry", ORACLE["plain"], ids=lambda e: f"k{e['k']}")
+    def test_plain_covering_lp(self, entry, monkeypatch):
+        k = entry["k"]
+        solution, pivots = _solve_counting_pivots(build_constraints(k), monkeypatch)
+        triple = scale_to_integers(solution)
+        t = solution.assignment[t_index(k)]
+        assert str(t) == entry["t"]
+        assert [list(triple.x), list(triple.y), list(triple.z)] == [entry["x"], entry["y"], entry["z"]]
+        assert pivots == entry["pivots"]
+
+    @pytest.mark.parametrize(
+        "entry", ORACLE["extra"], ids=lambda e: f"k{e['k']}-seed{e['seed']}"
+    )
+    def test_seeded_extra_rows(self, entry, monkeypatch):
+        k = entry["k"]
+        problem = build_constraints(k, _oracle_rows(k, entry["rows"]))
+        solution, pivots = _solve_counting_pivots(problem, monkeypatch)
+        assert [str(v) for v in solution.assignment] == entry["assignment"]
+        assert pivots == entry["pivots"]

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -22,8 +23,10 @@ from altpaths.verify import (
     check_eq_ph,
     check_theorem_even,
     check_theorem_odd,
+    digits,
     exhaustive_max,
     expansion_identity,
+    fraction_text,
     tightness_curve,
 )
 from helpers import brute_hom_oracle, p3_loopless_ceiling
@@ -259,3 +262,18 @@ def test_report_record_serialises_exact_rationals():
     assert record["lhs"] == "2/81"
     assert record["rhs"] == "4/27"
     assert record["holds"] is True
+
+
+def test_digits_match_str():
+    rng = random.Random(7)
+    for n in [0, 1, -1, 10**20, -(10**20) + 3] + [rng.randrange(-(10**900), 10**900) for _ in range(50)]:
+        assert digits(n) == str(n)
+    assert fraction_text(Fraction(-6, 4)) == "-3/2"
+
+
+def test_digits_past_the_int_to_str_limit():
+    n = 3**40000 + 1          # 19,085 digits
+    text = digits(n)
+    assert len(text) == 19085 and text.isdigit()
+    assert Decimal(text) == Decimal(n)
+    assert fraction_text(Fraction(n, 3)) == f"{text}/3"
