@@ -127,15 +127,11 @@ def cmd_verify_ineq(args) -> int:
         hosts = enumerate_hosts(args.n)
     records = []
     violations = 0
-    for g in hosts:
-        for report in (
-            verify.check_eq_ph(forest, args.k, g),
-            verify.check_eq_hp(forest, args.k, g),
-        ):
-            if not report.holds:
-                violations += 1
-                print(f"VIOLATION {report.name} on {report.host}")
-            records.append(report.record())
+    for report in verify.check_inequalities(forest, args.k, hosts):
+        if not report.holds:
+            violations += 1
+            print(f"VIOLATION {report.name} on {report.host}")
+        records.append(report.record())
     mode = (
         f"random count={args.count} n_max={args.n_max} seed={args.seed}"
         if args.hosts == "random"
@@ -236,14 +232,11 @@ def cmd_lp_search(args) -> int:
     print(f"x = {triple.x}")
     print(f"y = {triple.y}")
     print(f"z = {triple.z}")
-    profile = covering.cover_profile_blocks(
-        2 * args.k + 1, constructions.plan_odd(args.k, triple)
-    )
-    mult = profile.uniform_multiplicity
+    plan = constructions.plan_odd(args.k, triple)
+    mult = covering.cover_profile_blocks(2 * args.k + 1, plan).uniform_multiplicity
     print(f"synthesised covering: uniform multiplicity {mult}")
     if args.out:
-        forest = lpsearch.synthesize_forest(args.k, triple)
-        _write_forest(forest, args.out)
+        _write_forest(constructions.materialise(2 * args.k + 1, plan), args.out)
         print(f"wrote {args.out}")
     _emit(args, {
         "command": "lp-search",

@@ -257,10 +257,11 @@ class CoveringReport:
         ]
 
 
+_MATERIALISE_CAP = 2_000_000
 _ARRAYS_CAP = 500_000_000
 
 
-def verify_covering(k: int, method: str = "auto", materialise_cap: int = 2_000_000) -> CoveringReport:
+def verify_covering(k: int, method: str = "auto") -> CoveringReport:
     """Check formulas against the built forest's actual covering for one k.
 
     method: "tuples" materialises the forest as Python objects and uses
@@ -273,7 +274,7 @@ def verify_covering(k: int, method: str = "auto", materialise_cap: int = 2_000_0
     length = 2 * k + 1
     if method == "auto":
         edges = (2 * k + 1) * (cover_target(k) + 1)
-        if edges <= materialise_cap:
+        if edges <= _MATERIALISE_CAP:
             method = "tuples"
         elif edges <= _ARRAYS_CAP:
             method = "arrays"

@@ -21,7 +21,7 @@ from typing import Hashable, Iterable, Mapping, Optional
 
 from .constructions import LabelledForest, homomorphism_violation
 from .ecgraph import BudgetExceeded, EdgeColouredGraph, require_valid
-from .homcount import components
+from .homcount import forest_orders, rooted_tables
 
 ENUM_GUARD = 10**7
 
@@ -162,30 +162,20 @@ def _path_colours(p: EdgeColouredGraph) -> list:
 
 
 def _walk_tables(p: EdgeColouredGraph, g: EdgeColouredGraph):
-    """Forward/backward partial-homomorphism counts along the path."""
+    """Partial-homomorphism counts along the path, from both ends.
+
+    forward[i][w] counts maps of v_0..v_i with v_i -> w and backward[i][w]
+    likewise towards the far end: the rooted tables of the path rooted at
+    v_length and at v_0.  Their product counts full homomorphisms through w.
+    """
     colours = _path_colours(p)
-    n, length = g.n, len(colours)
-    gadj = g.adjacency()
-    forward = [[1] * n]
-    for i in range(length):
-        prev = forward[-1]
-        forward.append(
-            [sum(prev[w2] for w2 in gadj[w][colours[i]]) for w in range(n)]
-        )
-    backward = [[1] * n]
-    for i in range(length - 1, -1, -1):
-        prev = backward[0]
-        backward.insert(
-            0, [sum(prev[w2] for w2 in gadj[w][colours[i]]) for w in range(n)]
-        )
-    # forward[i][w]: maps of v_0..v_i with v_i -> w; backward[i][w] likewise
-    # towards the far end.  Their product counts full homomorphisms through w.
+    length = len(colours)
+    reversed_p = EdgeColouredGraph.make(
+        p.n, [(length - 1 - i, length - i, c) for i, c in enumerate(colours)]
+    )
+    forward = rooted_tables(reversed_p, g)[::-1]
+    backward = rooted_tables(p, g)
     return colours, forward, backward
-
-
-def hom_count_path(p: EdgeColouredGraph, g: EdgeColouredGraph) -> int:
-    _, forward, _ = _walk_tables(p, g)
-    return sum(forward[-1])
 
 
 class PathMarginals:
@@ -280,23 +270,7 @@ def path_entropy_formula(p: EdgeColouredGraph, g: EdgeColouredGraph) -> float:
 def _forest_bfs_orders(h: LabelledForest) -> list[list[tuple[int, Optional[int]]]]:
     """Per component (ordered by root), (vertex, parent) pairs in BFS order;
     roots are the minimum-index vertex of each component."""
-    adj = h.graph.adjacency()
-    orders = []
-    for comp in components(h.graph):
-        root = comp[0]
-        order = [(root, None)]
-        seen = {root}
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            nbrs = sorted(set(adj[v][0]) | set(adj[v][1]))
-            for w in nbrs:
-                if w not in seen:
-                    seen.add(w)
-                    order.append((w, v))
-                    queue.append(w)
-        orders.append(order)
-    return orders
+    return forest_orders(h.graph)
 
 
 def glued_distribution(
@@ -377,6 +351,7 @@ def closed_form_entropy(
     bad = homomorphism_violation(h)
     if bad is not None:
         raise ValueError(f"phi is not a homomorphism: edge {bad}")
+    forest_orders(h.graph)              # raises NotAForest on a cycle
     marg = PathMarginals(p, g)
     if marg.length != h.spine_edges:
         raise ValueError("path length does not match the forest's spine")

@@ -3,11 +3,16 @@
 ``hom_brute`` enumerates every map V(H) -> V(G) and is the reference oracle.
 ``hom_forest`` is the production counter for acyclic patterns: a rooted
 bottom-up product/sum dynamic program, exact over arbitrary-precision
-integers.  Densities are exact rationals hom / n^v(H).
+integers.  ``forest_orders`` is the one forest walk; each pattern is compiled
+from it once into a flat plan of interned subtree shapes, cached on the
+pattern, so any depth works and repeated calls skip the compile.  Densities
+are exact rationals hom / n^v(H).
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Optional
@@ -52,147 +57,144 @@ def hom_brute(h: EdgeColouredGraph, g: EdgeColouredGraph, budget: int = BRUTE_BU
     return count
 
 
-def _find_cycle(h: EdgeColouredGraph) -> Optional[list[int]]:
-    """Vertices of some cycle in h, or None when h is acyclic."""
+def forest_orders(h: EdgeColouredGraph) -> list[list[tuple[int, Optional[int]]]]:
+    """Per component, (vertex, parent) pairs in breadth-first order.
+
+    This is the package's one forest walk.  Each component is rooted at its
+    minimum-index vertex (parent None) and neighbours are taken in index
+    order.  A cyclic pattern raises NotAForest with the sorted vertices of
+    the first cycle the walk closes.
+    """
     adj = h.adjacency()
-    parent: dict[int, Optional[int]] = {}
-    for start in range(h.n):
-        if start in parent:
+    parent_of: dict[int, Optional[int]] = {}
+    orders = []
+    for root in range(h.n):
+        if root in parent_of:
             continue
-        parent[start] = None
-        stack = [(start, -1)]
-        while stack:
-            v, from_v = stack.pop()
-            for colour_nbrs in adj[v]:
-                for w in colour_nbrs:
-                    if w == from_v:
-                        continue
-                    if w in parent:
-                        # Back edge: walk both endpoints up to their meeting point.
-                        seen = [v]
-                        x = v
-                        while parent[x] is not None:
-                            x = parent[x]
-                            seen.append(x)
-                        chain = [w]
-                        x = w
-                        while x not in seen:
-                            x = parent[x]
-                            chain.append(x)
-                        cycle = chain + seen[: seen.index(chain[-1])][::-1]
-                        return sorted(set(cycle))
-                    parent[w] = v
-                    stack.append((w, v))
-    return None
+        parent_of[root] = None
+        order: list[tuple[int, Optional[int]]] = [(root, None)]
+        for v, parent in order:            # grows while it is read: a queue
+            for w in sorted(adj[v][0] + adj[v][1]):
+                if w == parent:
+                    continue
+                if w in parent_of:
+                    raise NotAForest(_closed_cycle(parent_of, v, w))
+                parent_of[w] = v
+                order.append((w, v))
+        orders.append(order)
+    return orders
 
 
-def components(h: EdgeColouredGraph) -> list[list[int]]:
-    adj = h.adjacency()
-    seen = [False] * h.n
-    comps = []
-    for start in range(h.n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for colour_nbrs in adj[v]:
-                for w in colour_nbrs:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        queue.append(w)
-        comps.append(sorted(comp))
-    return comps
+def _closed_cycle(parent_of: dict[int, Optional[int]], v: int, w: int) -> list[int]:
+    """Sorted vertices of the cycle the edge v-w closes in the BFS tree."""
+    up_v = [v]
+    while parent_of[up_v[-1]] is not None:
+        up_v.append(parent_of[up_v[-1]])
+    on_v = set(up_v)
+    up_w = [w]
+    while up_w[-1] not in on_v:
+        up_w.append(parent_of[up_w[-1]])
+    return sorted(up_v[: up_v.index(up_w[-1]) + 1] + up_w[:-1])
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """A forest pattern compiled for the rooted dynamic program.
+
+    ``steps`` lists the distinct rooted subtree shapes, children before
+    parents; a step is a tuple of (edge colour, child step, multiplicity).
+    ``vertex_step[v]`` is the step of the subtree below pattern vertex v, and
+    ``roots`` pairs each distinct component shape with its count.
+    """
+
+    steps: tuple[tuple[tuple[int, int, int], ...], ...]
+    vertex_step: tuple[int, ...]
+    roots: tuple[tuple[int, int], ...]
+
+
+def _plan(h: EdgeColouredGraph) -> _Plan:
+    """The compiled plan of h, built on first use and cached on h."""
+    cached = h.__dict__.get("_plan")
+    if cached is None:
+        require_valid(h)
+        orders = forest_orders(h)
+        colour_of = {(u, v): c for u, v, c in h.edges}
+        children: list[list[tuple[int, int]]] = [[] for _ in range(h.n)]
+        vertex_step = [0] * h.n
+        step_ids: dict[tuple, int] = {}
+        for v, parent in reversed([pair for order in orders for pair in order]):
+            counts = Counter(children[v])
+            step = tuple(sorted((c, child, m) for (c, child), m in counts.items()))
+            sid = step_ids.setdefault(step, len(step_ids))
+            vertex_step[v] = sid
+            if parent is not None:
+                colour = colour_of[(v, parent) if v < parent else (parent, v)]
+                children[parent].append((int(colour), sid))
+        roots = Counter(vertex_step[order[0][0]] for order in orders)
+        cached = _Plan(tuple(step_ids), tuple(vertex_step), tuple(roots.items()))
+        object.__setattr__(h, "_plan", cached)
+    return cached
+
+
+def _step_tables(plan: _Plan, g: EdgeColouredGraph) -> list[list[int]]:
+    """table[w] per step: homomorphisms of that rooted subtree with its
+    root mapped to host vertex w."""
+    require_valid(g)
+    gadj = g.adjacency()
+    tables: list[list[int]] = []
+    for step in plan.steps:
+        table = None
+        for colour, child, mult in step:
+            get = tables[child].__getitem__
+            sums = [sum(map(get, nbrs[colour])) for nbrs in gadj]
+            if mult != 1:
+                sums = [s**mult for s in sums]
+            table = sums if table is None else [t * s for t, s in zip(table, sums)]
+        tables.append([1] * g.n if table is None else table)
+    return tables
+
+
+def rooted_tables(h: EdgeColouredGraph, g: EdgeColouredGraph) -> list[list[int]]:
+    """Per pattern vertex v, the table of homomorphisms of the subtree below
+    v (rooted as in forest_orders) with v mapped to each host vertex.
+    Vertices of equal subtree shape share one table object."""
+    plan = _plan(h)
+    tables = _step_tables(plan, g)
+    return [tables[sid] for sid in plan.vertex_step]
 
 
 def hom_forest(h: EdgeColouredGraph, g: EdgeColouredGraph) -> int:
     """Count homomorphisms of an acyclic pattern via rooted tree DP.
 
-    Each tree is rooted at its minimum-index vertex, children visited in
-    index order.  Identical child subtrees (same shape and same colour of
-    the edge to the parent) are grouped and raised to their multiplicity,
-    which keeps the DP cheap on the highly repetitive built forests.
+    The pattern is compiled once (see _plan): identical child subtrees (same
+    shape and same colour of the edge to the parent) share one table and are
+    raised to their multiplicity, which keeps the DP cheap on the highly
+    repetitive built forests.  No recursion, so any depth is fine.
     """
-    require_valid(h)
-    require_valid(g)
-    cycle = _find_cycle(h)
-    if cycle is not None:
-        raise NotAForest(cycle)
-    if g.n == 0:
-        return 1 if h.n == 0 else 0
-
-    adj = h.adjacency()
-    gadj = g.adjacency()
-    n = g.n
-
-    # Intern subtree shapes so equal subtrees share one DP table.
-    shape_ids: dict[tuple, int] = {}
-    shape_tables: dict[int, list[int]] = {}
-
-    def shape_of(v: int, parent: int) -> int:
-        children = []
-        for colour in (0, 1):
-            for w in adj[v][colour]:
-                if w != parent:
-                    children.append((colour, w))
-        child_keys = []
-        for colour, w in children:
-            child_keys.append((colour, shape_of(w, v)))
-        key = tuple(sorted(child_keys))
-        sid = shape_ids.get(key)
-        if sid is None:
-            sid = len(shape_ids)
-            shape_ids[key] = sid
-            # table[w] = number of homomorphisms of the subtree with the
-            # root mapped to w, for each host vertex w.
-            table = [1] * n
-            for (colour, child_sid), mult in _multiset(key):
-                child_table = shape_tables[child_sid]
-                for w in range(n):
-                    s = 0
-                    for w2 in gadj[w][colour]:
-                        s += child_table[w2]
-                    if s == 0:
-                        table[w] = 0
-                    elif table[w]:
-                        table[w] *= s if mult == 1 else s**mult
-            shape_tables[sid] = table
-        return sid
-
+    plan = _plan(h)
+    tables = _step_tables(plan, g)
     total = 1
-    comp_cache: dict[int, int] = {}
-    for comp in components(h):
-        root = comp[0]
-        sid = shape_of(root, -1)
-        value = comp_cache.get(sid)
-        if value is None:
-            value = sum(shape_tables[sid])
-            comp_cache[sid] = value
-        total *= value
+    for sid, count in plan.roots:
+        total *= sum(tables[sid]) ** count
         if total == 0:
             return 0
     return total
 
 
-def _multiset(keys):
-    counts: dict = {}
-    for k in keys:
-        counts[k] = counts.get(k, 0) + 1
-    return counts.items()
-
-
 def is_forest(h: EdgeColouredGraph) -> bool:
-    return _find_cycle(h) is None
+    try:
+        forest_orders(h)
+    except NotAForest:
+        return False
+    return True
 
 
 def hom(h: EdgeColouredGraph, g: EdgeColouredGraph, budget: int = BRUTE_BUDGET) -> int:
     """Forest DP when the pattern is acyclic, brute force otherwise."""
-    if is_forest(h):
+    try:
         return hom_forest(h, g)
-    return hom_brute(h, g, budget=budget)
+    except NotAForest:
+        return hom_brute(h, g, budget=budget)
 
 
 def density(h: EdgeColouredGraph, g: EdgeColouredGraph, budget: int = BRUTE_BUDGET) -> Fraction:

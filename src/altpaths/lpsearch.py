@@ -453,5 +453,4 @@ def scale_to_integers(sol: LpSolution) -> SequenceTriple:
 
 def synthesize_forest(k: int, s: SequenceTriple) -> LabelledForest:
     """The decorated-spine construction applied to an arbitrary valid triple."""
-    s.require_valid()
     return materialise(2 * k + 1, plan_odd(k, s))

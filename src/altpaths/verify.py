@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .constructions import LabelledForest, alternating_path
 from .covering import cover_profile
@@ -78,44 +78,48 @@ def bound_even(k: int) -> Fraction:
     return Fraction(1, 4**k)
 
 
-def _require_uniform(h: LabelledForest) -> int:
+def check_inequalities(
+    h: LabelledForest, k: int, hosts: Iterable[EdgeColouredGraph]
+) -> list[InequalityReport]:
+    """Both density inequalities on each host, path-vs-forest then
+    forest-vs-path per host.
+
+    t(P)^(1/e(P)) <= t(H)^(1/e(H)) is checked as t(P)^e(H) <= t(H)^e(P), and
+    t(H) <= c^(e(H)-e(P)) t(P) with the irrational constant c cleared by
+    raising both sides to the power 2k+1.  Both need a uniformly covering
+    spine homomorphism, checked once; t(P) and t(H) are counted once per host.
+    """
+    if h.spine_edges != 2 * k + 1:
+        raise ValueError(f"forest spine has {h.spine_edges} edges, expected {2 * k + 1}")
     profile = cover_profile(h)
-    mult = profile.uniform_multiplicity
-    if mult is None:
+    if profile.uniform_multiplicity is None:
         raise ValueError(
             "forest covering is not uniform; the density comparison needs a "
             f"uniformly covering spine homomorphism (profile {profile})"
         )
-    return mult
+    spine = alternating_path(2 * k + 1)
+    e_p = 2 * k + 1
+    e_h = len(h.graph.edges)
+    reports = []
+    for g in hosts:
+        t_p = Fraction(hom_forest(spine, g), g.n ** spine.n)
+        t_h = Fraction(hom_forest(h.graph, g), g.n ** h.graph.n)
+        key = g.canonical_key()
+        reports.append(InequalityReport("path-vs-forest", k, key, t_p**e_h, t_h**e_p))
+        reports.append(InequalityReport(
+            "forest-vs-path", k, key, t_h**e_p, bound_odd(k) ** (e_h - e_p) * t_p**e_p
+        ))
+    return reports
 
 
 def check_eq_ph(h: LabelledForest, k: int, g: EdgeColouredGraph) -> InequalityReport:
-    """t(P)^(1/e(P)) <= t(H)^(1/e(H)), checked as t(P)^e(H) <= t(H)^e(P)."""
-    if h.spine_edges != 2 * k + 1:
-        raise ValueError(f"forest spine has {h.spine_edges} edges, expected {2 * k + 1}")
-    _require_uniform(h)
-    spine = alternating_path(2 * k + 1)
-    e_p = 2 * k + 1
-    e_h = len(h.graph.edges)
-    t_p = Fraction(hom_forest(spine, g), g.n ** spine.n)
-    t_h = Fraction(hom_forest(h.graph, g), g.n ** h.graph.n)
-    return InequalityReport("path-vs-forest", k, g.canonical_key(), t_p**e_h, t_h**e_p)
+    """The path-vs-forest half of check_inequalities on one host."""
+    return check_inequalities(h, k, [g])[0]
 
 
 def check_eq_hp(h: LabelledForest, k: int, g: EdgeColouredGraph) -> InequalityReport:
-    """t(H) <= c^(e(H)-e(P)) t(P) with the irrational constant c cleared by
-    raising both sides to the power 2k+1."""
-    if h.spine_edges != 2 * k + 1:
-        raise ValueError(f"forest spine has {h.spine_edges} edges, expected {2 * k + 1}")
-    _require_uniform(h)
-    spine = alternating_path(2 * k + 1)
-    e_p = 2 * k + 1
-    e_h = len(h.graph.edges)
-    t_p = Fraction(hom_forest(spine, g), g.n ** spine.n)
-    t_h = Fraction(hom_forest(h.graph, g), g.n ** h.graph.n)
-    lhs = t_h ** (2 * k + 1)
-    rhs = bound_odd(k) ** (e_h - e_p) * t_p ** (2 * k + 1)
-    return InequalityReport("forest-vs-path", k, g.canonical_key(), lhs, rhs)
+    """The forest-vs-path half of check_inequalities on one host."""
+    return check_inequalities(h, k, [g])[1]
 
 
 def check_theorem_odd(k: int, g: EdgeColouredGraph) -> InequalityReport:

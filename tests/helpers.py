@@ -31,6 +31,20 @@ def brute_hom_oracle(h: EdgeColouredGraph, g: EdgeColouredGraph) -> int:
     return count
 
 
+def path_walk_oracle(h: EdgeColouredGraph, g: EdgeColouredGraph) -> int:
+    """Homomorphisms of a path pattern in vertex-index order, counted as
+    coloured walks one edge at a time over g's raw edge list."""
+    ways = [1] * g.n
+    for _, _, c in h.edges:
+        step = [0] * g.n
+        for u, v, gc in g.edges:
+            if gc == c:
+                step[u] += ways[v]
+                step[v] += ways[u]
+        ways = step
+    return sum(ways)
+
+
 def brute_two_walks(g: EdgeColouredGraph, v: int, first: Colour, second: Colour) -> int:
     """Ordered two-edge walks from v, never reusing the first edge."""
     count = 0

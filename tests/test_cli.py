@@ -1,12 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import altpaths
 from altpaths.cli import main
-from altpaths.constructions import parse_roles
+from altpaths.constructions import alternating_path, parse_roles
 from altpaths.ecgraph import BLUE, RED, EdgeColouredGraph, read_ecg, write_ecg
+from helpers import path_walk_oracle
 
 TRIANGLE = EdgeColouredGraph.make(3, [(0, 1, RED), (1, 2, BLUE), (0, 2, RED)])
 
@@ -58,6 +62,17 @@ class TestHomDensity:
         assert main(["density", "--pattern", str(pattern), "--host", triangle_file]) == 0
         num, den = capsys.readouterr().out.strip().split("/")
         assert len(num) == 3011 and len(den) == 4772
+
+    def test_hom_of_a_deep_path(self, tmp_path, capsys):
+        path = alternating_path(1000)
+        host = EdgeColouredGraph.make(
+            4, [(0, 1, RED), (2, 3, RED), (0, 2, BLUE), (0, 3, BLUE), (1, 2, BLUE), (1, 3, BLUE)]
+        )
+        write_ecg(path, tmp_path / "path.ecg")
+        write_ecg(host, tmp_path / "host.ecg")
+        argv = ["hom", "--pattern", str(tmp_path / "path.ecg"), "--host", str(tmp_path / "host.ecg")]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.strip() == str(path_walk_oracle(path, host))
 
     def test_methods_agree(self, capsys, p3_file, triangle_file):
         for method in ("brute", "forest"):
@@ -189,10 +204,15 @@ class TestErrorPaths:
         assert err.value.code == 2
 
     def test_installed_entry_point(self, tmp_path):
+        # The child imports the package from where this process found it, so
+        # the test also runs from a checkout without an install.
+        src = str(Path(altpaths.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         result = subprocess.run(
             [sys.executable, "-m", "altpaths.cli", "verify-covering", "--k-max", "2"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0
         assert "PASS" in result.stdout

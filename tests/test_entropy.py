@@ -8,6 +8,7 @@ from altpaths.constructions import (
     ClassCounts,
     alternating_path,
     build_h_odd,
+    LabelledForest,
     fixture,
     materialise,
 )
@@ -25,7 +26,7 @@ from altpaths.entropy import (
     uniform,
     uniform_hom_distribution,
 )
-from altpaths.homcount import hom_forest
+from altpaths.homcount import NotAForest, hom_forest
 from helpers import random_graph
 
 TRIANGLE = EdgeColouredGraph.make(3, [(0, 1, RED), (1, 2, BLUE), (0, 2, RED)])
@@ -293,6 +294,17 @@ class TestGluedDistribution:
         h = fixture("H5")
         with pytest.raises(BudgetExceeded):
             glued_distribution(h, alternating_path(5), C4, guard=100)
+
+
+@pytest.mark.parametrize("measure", [closed_form_entropy, glued_distribution])
+def test_cyclic_labelled_graph_rejected(measure):
+    # phi = (0, 1, 0, 1) maps every edge of the all-red 4-cycle onto the red
+    # first spine edge, so phi is a homomorphism and only the cycle is wrong.
+    cycle = EdgeColouredGraph.make(4, [(0, 1, RED), (1, 2, RED), (2, 3, RED), (0, 3, RED)])
+    h = LabelledForest(cycle, tuple(("spine", j) for j in range(4)), (0, 1, 0, 1), 3)
+    host = EdgeColouredGraph.make(4, [(0, 1, RED), (0, 2, RED), (1, 2, BLUE), (2, 3, RED)])
+    with pytest.raises(NotAForest):
+        measure(h, alternating_path(3), host)
 
 
 class TestClosedFormEntropy:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +11,15 @@ from altpaths.ecgraph import BLUE, RED, BudgetExceeded, EdgeColouredGraph
 from altpaths.homcount import (
     NotAForest,
     density,
+    forest_orders,
+    hom,
     hom_brute,
     hom_forest,
     is_forest,
+    rooted_tables,
     weighted_ab_bound,
 )
-from helpers import brute_hom_oracle, random_forest, random_graph
+from helpers import brute_hom_oracle, path_walk_oracle, random_forest, random_graph
 
 TRIANGLE = EdgeColouredGraph.make(3, [(0, 1, RED), (1, 2, BLUE), (0, 2, RED)])
 RED_EDGE = EdgeColouredGraph.make(2, [(0, 1, RED)])
@@ -77,6 +81,32 @@ class TestForestDP:
     def test_empty_host(self):
         assert hom_forest(RED_EDGE, EdgeColouredGraph(0, ())) == 0
         assert hom_forest(EdgeColouredGraph(0, ()), EdgeColouredGraph(0, ())) == 1
+
+    def test_deep_path_without_recursion(self):
+        path = alternating_path(10_000)
+        g = EdgeColouredGraph.make(
+            4, [(0, 1, RED), (2, 3, RED), (0, 2, BLUE), (0, 3, BLUE), (1, 2, BLUE), (1, 3, BLUE)]
+        )
+        assert hom_forest(path, g) == path_walk_oracle(path, g)
+
+    def test_rooted_tables_pin_each_subtree_root(self):
+        # Vertex 0 roots the tree; below 2 hang 3 and 4, below 3 hangs 5.
+        h = EdgeColouredGraph.make(
+            6, [(0, 1, RED), (0, 2, BLUE), (2, 3, RED), (2, 4, RED), (3, 5, BLUE)]
+        )
+        below = {0: [0, 1, 2, 3, 4, 5], 1: [1], 2: [2, 3, 4, 5], 3: [3, 5], 4: [4], 5: [5]}
+        g = random_graph(random.Random(31), 4)
+        lookup = {(u, v): c for u, v, c in g.edges}
+        lookup.update({(v, u): c for u, v, c in g.edges})
+        tables = rooted_tables(h, g)
+        for v, subtree in below.items():
+            edges = [(a, b, c) for a, b, c in h.edges if a in subtree and b in subtree]
+            expected = [0] * g.n
+            for images in product(range(g.n), repeat=len(subtree)):
+                at = dict(zip(subtree, images))
+                if all(lookup.get((at[a], at[b])) == c for a, b, c in edges):
+                    expected[at[v]] += 1
+            assert tables[v] == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -172,3 +202,32 @@ class TestWeightedBound:
 def test_is_forest():
     assert is_forest(alternating_path(5))
     assert not is_forest(TRIANGLE)
+
+
+class TestForestOrders:
+    def test_breadth_first_from_each_minimum_vertex(self):
+        h = EdgeColouredGraph.make(
+            7, [(0, 4, RED), (0, 2, BLUE), (2, 5, RED), (1, 3, RED), (4, 6, BLUE)]
+        )
+        assert forest_orders(h) == [
+            [(0, None), (2, 0), (4, 0), (5, 2), (6, 4)],
+            [(1, None), (3, 1)],
+        ]
+
+    def test_cycle_away_from_the_root(self):
+        h = EdgeColouredGraph.make(
+            6, [(0, 1, RED), (1, 2, BLUE), (2, 3, RED), (3, 4, BLUE), (2, 4, RED), (4, 5, RED)]
+        )
+        with pytest.raises(NotAForest) as err:
+            forest_orders(h)
+        assert err.value.cycle == [2, 3, 4]
+        assert not is_forest(h)
+
+
+class TestHomDispatch:
+    def test_cycle_falls_back_to_brute(self):
+        assert hom(TRIANGLE, TRIANGLE) == hom_brute(TRIANGLE, TRIANGLE)
+
+    def test_invalid_pattern_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            hom(EdgeColouredGraph(2, ((0, 5, RED),)), TRIANGLE)
