@@ -14,7 +14,11 @@ there is exactly one encoding of the construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
 from typing import Optional
+
+import numpy as np
 
 from .ecgraph import BLUE, RED, Colour, EdgeColouredGraph
 
@@ -188,6 +192,20 @@ def blue_neighbour(j: int, length: int) -> Optional[int]:
     return cand if 0 <= cand <= length else None
 
 
+@lru_cache(maxsize=64)
+def _spine_steps(length: int) -> np.ndarray:
+    """Read-only ``(2, length+1)`` table: ``[colour, j]`` is the spine
+    neighbour of v_j across the edge of that colour, or -1 for none."""
+    steps = np.full((2, length + 1), -1, dtype=np.int64)
+    for j in range(length + 1):
+        for colour, step in ((RED, red_neighbour), (BLUE, blue_neighbour)):
+            nb = step(j, length)
+            if nb is not None:
+                steps[colour, j] = nb
+    steps.flags.writeable = False
+    return steps
+
+
 # -- construction plans ----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -333,6 +351,17 @@ class LabelledForest:
             raise ValueError("even spine has no odd-parameter k")
         return (self.spine_edges - 1) // 2
 
+    def phi_array(self) -> np.ndarray:
+        """phi as an int64 array; ValueError for an image outside the spine."""
+        phi = np.fromiter(self.phi, dtype=np.int64, count=len(self.phi))
+        outside = np.flatnonzero((phi < 0) | (phi > self.spine_edges))
+        if outside.size:
+            v = int(outside[0])
+            raise ValueError(
+                f"image {self.phi[v]} of vertex {v} outside spine 0..{self.spine_edges}"
+            )
+        return phi
+
 
 def materialise(length: int, plan: Plan) -> LabelledForest:
     vblocks, eblocks = class_blocks(length, plan)
@@ -350,26 +379,25 @@ def materialise(length: int, plan: Plan) -> LabelledForest:
     for eb in eblocks:
         a0 = starts[eb.a_block]
         b0 = starts[eb.b_block]
-        if eb.fan:
-            edges.extend((a0, b0 + i, eb.colour) for i in range(eb.count))
-        else:
-            edges.extend((a0 + i, b0 + i, eb.colour) for i in range(eb.count))
+        tails = repeat(a0, eb.count) if eb.fan else range(a0, a0 + eb.count)
+        edges.extend(zip(tails, range(b0, b0 + eb.count), repeat(eb.colour, eb.count)))
     graph = EdgeColouredGraph.make(total, edges)
     forest = LabelledForest(graph, tuple(roles), tuple(phi), length)
-    assert recompute_phi(forest) == forest.phi
+    if recompute_phi(forest) != forest.phi:
+        raise ValueError("materialised phi differs from the images its pins force")
     return forest
 
 
 def homomorphism_violation(f: LabelledForest) -> Optional[tuple[int, int, Colour]]:
-    """First forest edge whose phi-image is not a spine edge of its colour."""
-    spine_edges = {(u, v): c for u, v, c in alternating_path(f.spine_edges).edges}
-    for u, v, c in f.graph.edges:
-        a, b = f.phi[u], f.phi[v]
-        if a > b:
-            a, b = b, a
-        if spine_edges.get((a, b)) != c:
-            return (u, v, c)
-    return None
+    """First forest edge, in edge order, whose phi-image is not a spine
+    edge of its colour; ValueError for an image outside the spine."""
+    phi = f.phi_array()
+    e = f.graph.edge_array()
+    bad = np.flatnonzero(_spine_steps(f.spine_edges)[e[:, 2], phi[e[:, 0]]] != phi[e[:, 1]])
+    return f.graph.edges[bad[0]] if bad.size else None
+
+
+_PINNED_KINDS = frozenset(("spine", "yminus", "aux"))
 
 
 def recompute_phi(f: LabelledForest) -> tuple[int, ...]:
@@ -379,35 +407,58 @@ def recompute_phi(f: LabelledForest) -> tuple[int, ...]:
     index, and aux vertices (which have no incident edges) to theirs.
     Every other image must be forced through a colour-unique spine
     neighbour; any residual freedom or contradiction is an error.
+
+    The walk goes round by round over half-edges grouped by their tail
+    vertex: each round reads only the half-edges of the vertices first
+    forced in the round before, so every half-edge is read once.
     """
     length = f.spine_edges
     n = f.graph.n
-    image: list[Optional[int]] = [None] * n
-    for v, (kind, j) in enumerate(f.roles):
-        if kind in ("spine", "yminus", "aux"):
-            image[v] = j
-    incident: list[list[tuple[int, Colour]]] = [[] for _ in range(n)]
-    for u, v, c in f.graph.edges:
-        incident[u].append((v, c))
-        incident[v].append((u, c))
-    queue = [v for v in range(n) if image[v] is not None]
-    while queue:
-        v = queue.pop()
-        for w, c in incident[v]:
-            nb = (red_neighbour if c == RED else blue_neighbour)(image[v], length)
-            if nb is None:
-                raise ValueError(
-                    f"no spine edge of colour {c.letter} at image {image[v]}"
-                )
-            if image[w] is None:
-                image[w] = nb
-                queue.append(w)
-            elif image[w] != nb:
-                raise ValueError(f"contradictory forced images for vertex {w}")
-    unassigned = [v for v in range(n) if image[v] is None]
-    if unassigned:
-        raise ValueError(f"spine image not forced for vertices {unassigned[:5]}")
-    return tuple(image)
+    steps = _spine_steps(length)
+    image = np.full(n, -1, dtype=np.int64)
+    pins = [(v, j) for v, (kind, j) in enumerate(f.roles) if kind in _PINNED_KINDS]
+    for v, j in pins:
+        if not 0 <= j <= length:
+            raise ValueError(f"pinned image {j} of vertex {v} outside spine 0..{length}")
+    if pins:
+        pinned, at = np.array(pins, dtype=np.int64).T
+        image[pinned] = at
+    e = f.graph.edge_array()
+    tails = np.concatenate([e[:, 0], e[:, 1]])
+    order = np.argsort(tails, kind="stable")
+    heads = np.concatenate([e[:, 1], e[:, 0]])[order]
+    colours = np.concatenate([e[:, 2], e[:, 2]])[order]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=n), out=offsets[1:])
+    slot = np.empty(n, dtype=np.int64)
+    frontier = np.flatnonzero(image >= 0)
+    while frontier.size:
+        first = offsets[frontier]
+        degree = offsets[frontier + 1] - first
+        ends = np.cumsum(degree)
+        half = np.arange(ends[-1]) + np.repeat(first - ends + degree, degree)
+        w, c = heads[half], colours[half]
+        at = np.repeat(image[frontier], degree)
+        forced = steps[c, at]
+        stuck = np.flatnonzero(forced < 0)
+        if stuck.size:
+            i = stuck[0]
+            raise ValueError(f"no spine edge of colour {Colour(c[i]).letter} at image {at[i]}")
+        fresh = image[w] < 0
+        new = w[fresh]
+        image[new] = forced[fresh]
+        clash = np.flatnonzero(image[w] != forced)
+        if clash.size:
+            raise ValueError(f"contradictory forced images for vertex {w[clash[0]]}")
+        # Deduplicate in linear time: of the positions that write one vertex,
+        # exactly one finds its own index stored there afterwards.
+        rank = np.arange(new.size)
+        slot[new] = rank
+        frontier = new[slot[new] == rank]
+    unassigned = np.flatnonzero(image < 0)
+    if unassigned.size:
+        raise ValueError(f"spine image not forced for vertices {unassigned[:5].tolist()}")
+    return tuple(image.tolist())
 
 
 def build_h_odd(k: int) -> LabelledForest:
@@ -502,4 +553,7 @@ def parse_roles(text: str, graph: EdgeColouredGraph) -> LabelledForest:
     if missing:
         raise ValueError(f"missing role lines for vertices {missing[:5]}")
     spine_edges = sum(1 for r in roles if r is not None and r[0] == "spine") - 1
+    for v, img in enumerate(phi):
+        if not 0 <= img <= spine_edges:  # type: ignore[operator]
+            raise ValueError(f"image {img} of vertex {v} outside spine 0..{spine_edges}")
     return LabelledForest(graph, tuple(roles), tuple(phi), spine_edges)  # type: ignore[arg-type]

@@ -134,13 +134,11 @@ def cover_profile(f: LabelledForest) -> CoverProfile:
     bad = homomorphism_violation(f)
     if bad is not None:
         raise ValueError(f"phi is not a homomorphism: edge {bad} maps off the spine")
-    vertex_cover = [0] * (f.spine_edges + 1)
-    for img in f.phi:
-        vertex_cover[img] += 1
-    edge_cover = [0] * f.spine_edges
-    for u, v, _ in f.graph.edges:
-        edge_cover[min(f.phi[u], f.phi[v])] += 1
-    return CoverProfile(tuple(vertex_cover), tuple(edge_cover))
+    phi = f.phi_array()
+    e = f.graph.edge_array()
+    vertex_cover = np.bincount(phi, minlength=f.spine_edges + 1)
+    edge_cover = np.bincount(np.minimum(phi[e[:, 0]], phi[e[:, 1]]), minlength=f.spine_edges)
+    return CoverProfile(tuple(vertex_cover.tolist()), tuple(edge_cover.tolist()))
 
 
 def cover_profile_blocks(length: int, plan: Plan) -> CoverProfile:

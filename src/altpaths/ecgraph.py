@@ -11,8 +11,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Mapping, Optional
+
+import numpy as np
 
 
 class Colour(IntEnum):
@@ -95,6 +97,20 @@ class EdgeColouredGraph:
                 lists[v][c].append(u)
             cached = tuple((tuple(r), tuple(b)) for r, b in lists)
             object.__setattr__(self, "_adj", cached)
+        return cached
+
+    def edge_array(self) -> np.ndarray:
+        """The edges as a read-only int64 ``(m, 3)`` array of rows
+        ``(u, v, colour)`` in edge order, built once and cached like
+        ``adjacency()``."""
+        cached = self.__dict__.get("_edge_arr")
+        if cached is None:
+            m = len(self.edges)
+            cached = np.fromiter(
+                chain.from_iterable(self.edges), dtype=np.int64, count=3 * m
+            ).reshape(m, 3)
+            cached.flags.writeable = False
+            object.__setattr__(self, "_edge_arr", cached)
         return cached
 
     def neighbours(self, v: int, colour: Colour) -> tuple[int, ...]:

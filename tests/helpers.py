@@ -96,3 +96,69 @@ def p3_loopless_ceiling(n: int) -> Fraction:
     is admissible.
     """
     return max(Fraction(r * r * (n - 1 - r), n**3) for r in range(n))
+
+
+def random_triple(rng: random.Random):
+    """A random valid sequence triple with k in 1..5 and small entries.
+
+    z_0 and z_1 stay 0: their pendant paths have no valid spine image.
+    """
+    from altpaths.constructions import SequenceTriple
+
+    k = rng.randint(1, 5)
+    x = [0] * (2 * k + 2)
+    y = [0] * (2 * k + 1)
+    z = [0] * (2 * k + 2)
+    for i in range(1, k + 1):
+        x[i] = rng.randint(0, 4)
+    for i in range(2, k + 1):
+        z[i] = rng.randint(0, 3)
+    for i in range(k + 1):
+        y[i] = rng.randint(0, 4)
+    for i in range(k + 1):
+        x[2 * k + 1 - i] = x[i]
+        z[2 * k + 1 - i] = z[i]
+        y[2 * k - i] = y[i]
+    return SequenceTriple(k, tuple(x), tuple(y), tuple(z))
+
+
+def recompute_phi_oracle(f) -> tuple[int, ...]:
+    """Reference propagation of a labelled forest's spine images.
+
+    Pins (spine, yminus and aux roles) map to their class index, which must
+    lie on the spine; a stack walk then forces every neighbour through the
+    unique spine neighbour of the edge's colour, raising ValueError on a
+    missing spine edge, a contradiction or an unforced vertex.
+    """
+    length = f.spine_edges
+
+    def step(j: int, colour: Colour):
+        up = j % 2 == 0 if colour == RED else j % 2 == 1
+        cand = j + 1 if up else j - 1
+        return cand if 0 <= cand <= length else None
+
+    image = [None] * f.graph.n
+    for v, (kind, j) in enumerate(f.roles):
+        if kind in ("spine", "yminus", "aux"):
+            if not 0 <= j <= length:
+                raise ValueError(f"pinned image {j} of vertex {v} outside the spine")
+            image[v] = j
+    incident = [[] for _ in range(f.graph.n)]
+    for u, v, c in f.graph.edges:
+        incident[u].append((v, c))
+        incident[v].append((u, c))
+    stack = [v for v in range(f.graph.n) if image[v] is not None]
+    while stack:
+        v = stack.pop()
+        for w, c in incident[v]:
+            nb = step(image[v], c)
+            if nb is None:
+                raise ValueError(f"no spine edge of colour {c} at image {image[v]}")
+            if image[w] is None:
+                image[w] = nb
+                stack.append(w)
+            elif image[w] != nb:
+                raise ValueError(f"contradictory forced images for vertex {w}")
+    if any(img is None for img in image):
+        raise ValueError("spine image not forced")
+    return tuple(image)

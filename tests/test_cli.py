@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -100,6 +101,30 @@ class TestVerifyCovering:
         assert main(["--workers", "1", "--json", str(solo), "verify-covering", "--k-max", "4"]) == 0
         assert main(["--workers", "2", "--json", str(multi), "verify-covering", "--k-max", "4"]) == 0
         assert solo.read_bytes() == multi.read_bytes()
+
+
+class TestPinnedOutputs:
+    """sha256 of outputs written before the forest checks and the tuples
+    tally moved onto edge arrays; both must stay byte-identical."""
+
+    @staticmethod
+    def digest(path):
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+    def test_verify_covering_tuples_json(self, tmp_path):
+        report = tmp_path / "cov.json"
+        argv = ["--json", str(report), "verify-covering", "--k-max", "10", "--method", "tuples"]
+        assert main(argv) == 0
+        assert self.digest(report) == "eb7966a12ba55f8cc2964835a750d7e44ee5975a8b7cd6f9dd2fa746e04ada32"
+
+    def test_construct_k4_files(self, tmp_path):
+        assert main(["construct", "--k", "4", "--out", str(tmp_path / "h9.ecg")]) == 0
+        assert self.digest(tmp_path / "h9.ecg") == (
+            "c9a5e83f0fe3827c31ae41e8ee0145573b0dec93d2f90d1b030ed62e78d07223"
+        )
+        assert self.digest(tmp_path / "h9.roles") == (
+            "1e63300754d9d7bbb3e3328500da12b88406ab7b9ac84cef06213c4cbda53d83"
+        )
 
 
 class TestVerifyIneq:

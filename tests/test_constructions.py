@@ -1,5 +1,12 @@
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import altpaths
 from altpaths.covering import cover_profile
 from altpaths.constructions import (
     ClassCounts,
@@ -19,8 +26,9 @@ from altpaths.constructions import (
     sequences,
     spine_colour,
 )
-from altpaths.ecgraph import BLUE, RED, validate
+from altpaths.ecgraph import BLUE, RED, EdgeColouredGraph, validate
 from altpaths.homcount import is_forest
+from helpers import random_triple, recompute_phi_oracle
 
 
 class TestSequences:
@@ -122,6 +130,151 @@ class TestBuildOdd:
         bad_phi[leaf] = (bad_phi[leaf] + 2) % 4
         corrupted = LabelledForest(h.graph, h.roles, tuple(bad_phi), h.spine_edges)
         assert recompute_phi(corrupted) != corrupted.phi
+
+
+def _outcome(check, f):
+    try:
+        return check(f)
+    except ValueError:
+        return ValueError
+
+
+def _random_plan(rng: random.Random):
+    """plan_odd of a random triple, plus random aux vertices and extra
+    spine-edge copies."""
+    s = random_triple(rng)
+    length = 2 * s.k + 1
+    plan = dict(plan_odd(s.k, s))
+    for j in range(length + 1):
+        aux, y = rng.randint(0, 2), rng.randint(0, 2) if j < length else 0
+        if aux or y:
+            cur = plan.get(j, ClassCounts())
+            plan[j] = ClassCounts(cur.xr, cur.xb, cur.zr, cur.zb, cur.y + y, cur.aux + aux)
+    return length, plan
+
+
+def _corruptions(f: LabelledForest, rng: random.Random):
+    """Forests that differ from f in one way each: a flipped edge colour, a
+    moved pin, an unpinned isolated vertex, and an extra edge from a pin to
+    an already-forced vertex."""
+    edges = list(f.graph.edges)
+    i = rng.randrange(len(edges))
+    u, v, c = edges[i]
+    edges[i] = (u, v, BLUE if c == RED else RED)
+    yield LabelledForest(EdgeColouredGraph(f.graph.n, tuple(edges)), f.roles, f.phi, f.spine_edges)
+
+    pinned = [v for v, (kind, _) in enumerate(f.roles) if kind in ("yminus", "aux")]
+    v = rng.choice(pinned)
+    roles = list(f.roles)
+    roles[v] = (roles[v][0], rng.randint(-1, f.spine_edges + 1))
+    yield LabelledForest(f.graph, tuple(roles), f.phi, f.spine_edges)
+
+    yield LabelledForest(
+        EdgeColouredGraph(f.graph.n + 1, f.graph.edges),
+        f.roles + (("xr", 0),),
+        f.phi + (0,),
+        f.spine_edges,
+    )
+
+    present = {(u, v) for u, v, _ in f.graph.edges}
+    pin = rng.choice([v for v, (kind, _) in enumerate(f.roles) if kind in ("spine", "yminus")])
+    forced = [w for w in range(f.graph.n) if f.roles[w][0] not in ("spine", "yminus", "aux")]
+    w = rng.choice([w for w in forced if (min(pin, w), max(pin, w)) not in present])
+    extra = (min(pin, w), max(pin, w), rng.choice((RED, BLUE)))
+    graph = EdgeColouredGraph.make(f.graph.n, f.graph.edges + (extra,))
+    yield LabelledForest(graph, f.roles, f.phi, f.spine_edges)
+
+
+class TestRecomputePhi:
+    def test_matches_oracle_on_random_plans(self):
+        rng = random.Random(505)
+        raised = moved = 0
+        for _ in range(120):
+            f = materialise(*_random_plan(rng))
+            assert recompute_phi(f) == recompute_phi_oracle(f) == f.phi
+            for bad in _corruptions(f, rng):
+                outcome = _outcome(recompute_phi, bad)
+                assert outcome == _outcome(recompute_phi_oracle, bad)
+                raised += outcome is ValueError
+                moved += outcome is not ValueError and outcome != f.phi[: len(outcome)]
+        # Both kinds occur: corruptions that are errors, and ones that
+        # force a different but consistent phi.
+        assert raised > 100 and moved > 100
+
+    def test_deep_chain(self):
+        # A 10,000-edge all-red chain hanging from v_0 of a one-edge spine:
+        # the images alternate, and a walk that rescanned every edge in each
+        # round would take quadratic time here.
+        depth = 10_000
+        edges = [(0, 1, RED), (0, 2, RED)] + [(v, v + 1, RED) for v in range(2, depth + 1)]
+        n = depth + 2
+        phi = (0, 1) + tuple((v - 1) % 2 for v in range(2, n))
+        roles = (("spine", 0), ("spine", 1)) + (("xr", 0),) * depth
+        f = LabelledForest(EdgeColouredGraph.make(n, edges), roles, phi, 1)
+        assert phi[2:6] == (1, 0, 1, 0)
+        assert recompute_phi(f) == phi
+        assert homomorphism_violation(f) is None
+        assert cover_profile(f).edge_cover == (depth + 1,)
+
+    def test_pin_outside_spine_rejected(self):
+        f = fixture("H3_small")
+        roles = list(f.roles)
+        aux = roles.index(("aux", 1))
+        roles[aux] = ("aux", -1)
+        with pytest.raises(ValueError, match="outside spine"):
+            recompute_phi(LabelledForest(f.graph, tuple(roles), f.phi, f.spine_edges))
+
+
+class TestImagesOutsideSpine:
+    @pytest.mark.parametrize("image", [-1, 7])
+    def test_rejected(self, image):
+        f = fixture("H3_small")
+        aux = f.roles.index(("aux", 1))
+        phi = list(f.phi)
+        phi[aux] = image
+        bad = LabelledForest(f.graph, f.roles, tuple(phi), f.spine_edges)
+        for check in (homomorphism_violation, cover_profile):
+            with pytest.raises(ValueError, match=f"image {image} of vertex {aux} outside spine"):
+                check(bad)
+        with pytest.raises(ValueError, match="outside spine"):
+            parse_roles(format_roles(bad), f.graph)
+
+    def test_first_bad_edge_in_edge_order(self):
+        h = build_h_odd(1)
+        phi = list(h.phi)
+        leaves = [v for v, (kind, _) in enumerate(h.roles) if kind == "xr"]
+        for v in leaves[-2:]:
+            phi[v] = (phi[v] + 2) % 4
+        bad = LabelledForest(h.graph, h.roles, tuple(phi), h.spine_edges)
+        first = next(e for e in h.graph.edges if leaves[-2] in e[:2])
+        assert homomorphism_violation(bad) == first
+
+
+def test_materialise_check_survives_optimised_mode():
+    # Under python -O a bare assert disappears; the phi check must not.
+    src = str(Path(altpaths.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import sys\n"
+        "from altpaths import constructions as c\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(3)\n"
+        "c.recompute_phi = lambda f: f.phi[:-1] + (f.phi[-1] + 1,)\n"
+        "try:\n"
+        "    c.materialise(3, {1: c.ClassCounts(xr=1)})\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    assert "differs from the images its pins force" in result.stdout
 
 
 class TestBuildEven:

@@ -18,6 +18,7 @@ from altpaths.covering import (
     vertex_cover_row,
     verify_covering,
 )
+from helpers import random_triple
 
 
 class TestClosedForms:
@@ -106,25 +107,12 @@ def test_formulas_match_direct_counts_on_random_triples():
     # preimage count.
     import random
 
-    from altpaths.constructions import SequenceTriple, materialise
+    from altpaths.constructions import materialise
 
     rng = random.Random(404)
     for _ in range(120):
-        k = rng.randint(1, 5)
-        x = [0] * (2 * k + 2)
-        y = [0] * (2 * k + 1)
-        z = [0] * (2 * k + 2)
-        for i in range(1, k + 1):
-            x[i] = rng.randint(0, 4)
-        for i in range(2, k + 1):
-            z[i] = rng.randint(0, 3)  # z_0, z_1 have no valid image
-        for i in range(k + 1):
-            y[i] = rng.randint(0, 4)
-        for i in range(k + 1):
-            x[2 * k + 1 - i] = x[i]
-            z[2 * k + 1 - i] = z[i]
-            y[2 * k - i] = y[i]
-        s = SequenceTriple(k, tuple(x), tuple(y), tuple(z))
+        s = random_triple(rng)
+        k = s.k
         plan = plan_odd(k, s)
         profile = cover_profile(materialise(2 * k + 1, plan))
         assert profile == cover_profile_blocks(2 * k + 1, plan)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -192,3 +193,13 @@ def test_colour_order():
     assert Colour.from_letter("R") is RED and Colour.from_letter("B") is BLUE
     with pytest.raises(ValueError):
         Colour.from_letter("G")
+
+
+def test_edge_array():
+    g = EdgeColouredGraph.make(4, [(2, 3, BLUE), (0, 1, RED), (1, 3, BLUE)])
+    arr = g.edge_array()
+    assert arr.dtype == np.int64 and arr.shape == (3, 3)
+    assert arr.tolist() == [[u, v, int(c)] for u, v, c in g.edges]
+    assert g.edge_array() is arr
+    assert not arr.flags.writeable
+    assert EdgeColouredGraph.make(2, []).edge_array().shape == (0, 3)
