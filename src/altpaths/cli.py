@@ -23,10 +23,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _frac(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def _write_forest(forest: constructions.LabelledForest, out: str) -> None:
     write_ecg(forest.graph, out)
     sidecar = str(Path(out).with_suffix(".roles"))

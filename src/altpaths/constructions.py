@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ecgraph import BLUE, RED, Colour, EdgeColouredGraph
+from .ecgraph import BLUE, RED, BudgetExceeded, Colour, EdgeColouredGraph
 
 
 def exact_div(num: int, den: int) -> int:
@@ -182,28 +182,18 @@ def alternating_path(length: int) -> EdgeColouredGraph:
     )
 
 
-def red_neighbour(j: int, length: int) -> Optional[int]:
-    cand = j + 1 if j % 2 == 0 else j - 1
-    return cand if 0 <= cand <= length else None
-
-
-def blue_neighbour(j: int, length: int) -> Optional[int]:
-    cand = j + 1 if j % 2 == 1 else j - 1
-    return cand if 0 <= cand <= length else None
-
-
 @lru_cache(maxsize=64)
 def _spine_steps(length: int) -> np.ndarray:
     """Read-only ``(2, length+1)`` table: ``[colour, j]`` is the spine
-    neighbour of v_j across the edge of that colour, or -1 for none."""
-    steps = np.full((2, length + 1), -1, dtype=np.int64)
-    for j in range(length + 1):
-        for colour, step in ((RED, red_neighbour), (BLUE, blue_neighbour)):
-            nb = step(j, length)
-            if nb is not None:
-                steps[colour, j] = nb
-    steps.flags.writeable = False
-    return steps
+    neighbour of v_j across the edge of that colour, or -1 for none: the
+    construction layer's one neighbour rule, read off the spine's edges."""
+    steps = [[-1] * (length + 1) for _ in (RED, BLUE)]
+    for i in range(length):
+        steps[spine_colour(i)][i] = i + 1
+        steps[spine_colour(i)][i + 1] = i
+    table = np.array(steps, dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
 
 # -- construction plans ----------------------------------------------------
@@ -240,6 +230,17 @@ class EdgeBlock:
     fan: bool          # True: endpoint a is fixed (a_block has count 1)
 
 
+# Each pendant class is a colour walk from v_j: one vertex block per step,
+# joined to the block before it (v_j itself for the first step) by an edge
+# of the step's colour.  The blue-blue walk folds back to v_j by itself.
+_PENDANT_WALKS = (
+    ("xr", ((RED, "xr"),)),
+    ("xb", ((BLUE, "xb"),)),
+    ("zr", ((RED, "zr"), (BLUE, "zrb"))),
+    ("zb", ((BLUE, "zb"), (BLUE, "zbb"))),
+)
+
+
 def class_blocks(length: int, plan: Plan) -> tuple[list[VertexBlock], list[EdgeBlock]]:
     """Expand a plan into vertex and edge class blocks.
 
@@ -248,47 +249,32 @@ def class_blocks(length: int, plan: Plan) -> tuple[list[VertexBlock], list[EdgeB
     yminus, yplus, aux.  Raises when a class cannot be mapped because the
     required spine neighbour does not exist.
     """
+    steps = _spine_steps(length).tolist()
     vblocks = [VertexBlock("spine", j, 1, j) for j in range(length + 1)]
     eblocks = [
         EdgeBlock(spine_colour(i), 1, i, i + 1, fan=True) for i in range(length)
     ]
-
-    def need(value: Optional[int], what: str, j: int) -> int:
-        if value is None:
-            raise ValueError(f"{what} does not exist at spine vertex {j}")
-        return value
-
     for j in sorted(plan):
         cc = plan[j]
         if not 0 <= j <= length:
             raise ValueError(f"class index {j} outside spine 0..{length}")
         if cc.y and j >= length:
             raise ValueError(f"no spine edge ({j},{j + 1}) for isolated-edge class")
-        if cc.xr:
-            r = need(red_neighbour(j, length), "red spine neighbour", j)
-            vblocks.append(VertexBlock("xr", j, cc.xr, r))
-            eblocks.append(EdgeBlock(RED, cc.xr, j, len(vblocks) - 1, fan=True))
-        if cc.xb:
-            b = need(blue_neighbour(j, length), "blue spine neighbour", j)
-            vblocks.append(VertexBlock("xb", j, cc.xb, b))
-            eblocks.append(EdgeBlock(BLUE, cc.xb, j, len(vblocks) - 1, fan=True))
-        if cc.zr:
-            r = need(red_neighbour(j, length), "red spine neighbour", j)
-            rb = need(blue_neighbour(r, length), "blue neighbour of red neighbour", j)
-            vblocks.append(VertexBlock("zr", j, cc.zr, r))
-            zr_idx = len(vblocks) - 1
-            vblocks.append(VertexBlock("zrb", j, cc.zr, rb))
-            eblocks.append(EdgeBlock(RED, cc.zr, j, zr_idx, fan=True))
-            eblocks.append(EdgeBlock(BLUE, cc.zr, zr_idx, zr_idx + 1, fan=False))
-        if cc.zb:
-            b = need(blue_neighbour(j, length), "blue spine neighbour", j)
-            vblocks.append(VertexBlock("zb", j, cc.zb, b))
-            zb_idx = len(vblocks) - 1
-            # The second blue edge folds back: the only blue edge at the
-            # image of the middle vertex is the spine edge to v_j itself.
-            vblocks.append(VertexBlock("zbb", j, cc.zb, j))
-            eblocks.append(EdgeBlock(BLUE, cc.zb, j, zb_idx, fan=True))
-            eblocks.append(EdgeBlock(BLUE, cc.zb, zb_idx, zb_idx + 1, fan=False))
+        for field, walk in _PENDANT_WALKS:
+            count = getattr(cc, field)
+            if not count:
+                continue
+            at, block, prev = j, j, None
+            for colour, kind in walk:
+                at = steps[colour][at]
+                if at < 0:
+                    via = "spine" if prev is None else f"neighbour of {prev.name.lower()}"
+                    raise ValueError(
+                        f"{colour.name.lower()} {via} neighbour does not exist at spine vertex {j}"
+                    )
+                eblocks.append(EdgeBlock(colour, count, block, len(vblocks), fan=block <= length))
+                vblocks.append(VertexBlock(kind, j, count, at))
+                block, prev = len(vblocks) - 1, colour
         if cc.y:
             vblocks.append(VertexBlock("yminus", j, cc.y, j))
             ym_idx = len(vblocks) - 1
@@ -343,36 +329,42 @@ class LabelledForest:
     phi: tuple[int, ...]
     spine_edges: int
 
-    def spine(self) -> EdgeColouredGraph:
-        return alternating_path(self.spine_edges)
-
-    def k(self) -> int:
-        if self.spine_edges % 2 == 0:
-            raise ValueError("even spine has no odd-parameter k")
-        return (self.spine_edges - 1) // 2
-
     def phi_array(self) -> np.ndarray:
         """phi as an int64 array; ValueError for an image outside the spine."""
-        phi = np.fromiter(self.phi, dtype=np.int64, count=len(self.phi))
-        outside = np.flatnonzero((phi < 0) | (phi > self.spine_edges))
-        if outside.size:
-            v = int(outside[0])
+        try:
+            phi = np.fromiter(self.phi, dtype=np.int64, count=len(self.phi))
+            outside = np.flatnonzero((phi < 0) | (phi > self.spine_edges)).tolist()
+        except OverflowError:  # an image past int64 lies outside the spine too
+            outside = [v for v, img in enumerate(self.phi) if not 0 <= img <= self.spine_edges]
+        if outside:
+            v = outside[0]
             raise ValueError(
                 f"image {self.phi[v]} of vertex {v} outside spine 0..{self.spine_edges}"
             )
         return phi
 
 
+# Building a forest as Python objects peaks at about 390 bytes of memory per
+# edge (H_k at k = 8, 10 and 12), so this cap keeps a build under 2 GB:
+# H_15 (3,690,271 edges) builds and H_16 (5,035,569) is refused.
+_MATERIALISE_EDGES = 5_000_000
+
+
 def materialise(length: int, plan: Plan) -> LabelledForest:
+    """Lay a plan out as an explicit labelled forest, vertices in block
+    order; BudgetExceeded for more than ``_MATERIALISE_EDGES`` edges."""
     vblocks, eblocks = class_blocks(length, plan)
-    starts = []
-    total = 0
-    for b in vblocks:
-        starts.append(total)
-        total += b.count
+    edge_count = sum(eb.count for eb in eblocks)
+    if edge_count > _MATERIALISE_EDGES:
+        raise BudgetExceeded(
+            f"{edge_count} forest edges exceed the materialise cap of {_MATERIALISE_EDGES}",
+            required=edge_count,
+        )
+    starts: list[int] = []
     roles: list[tuple[str, int]] = []
     phi: list[int] = []
     for b in vblocks:
+        starts.append(len(phi))
         roles.extend([(b.kind, b.j)] * b.count)
         phi.extend([b.phi] * b.count)
     edges = []
@@ -381,7 +373,7 @@ def materialise(length: int, plan: Plan) -> LabelledForest:
         b0 = starts[eb.b_block]
         tails = repeat(a0, eb.count) if eb.fan else range(a0, a0 + eb.count)
         edges.extend(zip(tails, range(b0, b0 + eb.count), repeat(eb.colour, eb.count)))
-    graph = EdgeColouredGraph.make(total, edges)
+    graph = EdgeColouredGraph.make(len(phi), edges)
     forest = LabelledForest(graph, tuple(roles), tuple(phi), length)
     if recompute_phi(forest) != forest.phi:
         raise ValueError("materialised phi differs from the images its pins force")
@@ -553,7 +545,6 @@ def parse_roles(text: str, graph: EdgeColouredGraph) -> LabelledForest:
     if missing:
         raise ValueError(f"missing role lines for vertices {missing[:5]}")
     spine_edges = sum(1 for r in roles if r is not None and r[0] == "spine") - 1
-    for v, img in enumerate(phi):
-        if not 0 <= img <= spine_edges:  # type: ignore[operator]
-            raise ValueError(f"image {img} of vertex {v} outside spine 0..{spine_edges}")
-    return LabelledForest(graph, tuple(roles), tuple(phi), spine_edges)  # type: ignore[arg-type]
+    forest = LabelledForest(graph, tuple(roles), tuple(phi), spine_edges)  # type: ignore[arg-type]
+    forest.phi_array()
+    return forest

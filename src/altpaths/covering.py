@@ -23,6 +23,7 @@ from .constructions import (
     SequenceTriple,
     class_blocks,
     homomorphism_violation,
+    materialise,
     plan_odd,
     sequences,
 )
@@ -141,57 +142,51 @@ def cover_profile(f: LabelledForest) -> CoverProfile:
     return CoverProfile(tuple(vertex_cover.tolist()), tuple(edge_cover.tolist()))
 
 
+def _block_images(length: int, plan: Plan) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """(spine image, count) of every vertex block and of every edge block of
+    a planned forest.  An edge's image is the left end of the spine edge it
+    maps onto."""
+    vblocks, eblocks = class_blocks(length, plan)
+    return (
+        [(b.phi, b.count) for b in vblocks],
+        [(min(vblocks[eb.a_block].phi, vblocks[eb.b_block].phi), eb.count) for eb in eblocks],
+    )
+
+
 def cover_profile_blocks(length: int, plan: Plan) -> CoverProfile:
     """Covering tally of a planned forest, grouped by construction class.
 
     Identical in content to materialising and counting: every class block
     contributes its cardinality to the spine image its vertices/edges share.
     """
-    vblocks, eblocks = class_blocks(length, plan)
-    vertex_cover = [0] * (length + 1)
-    for b in vblocks:
-        vertex_cover[b.phi] += b.count
-    edge_cover = [0] * length
-    for eb in eblocks:
-        edge_cover[min(vblocks[eb.a_block].phi, vblocks[eb.b_block].phi)] += eb.count
-    return CoverProfile(tuple(vertex_cover), tuple(edge_cover))
 
+    def tally(images, size):
+        cover = [0] * size
+        for at, count in images:
+            cover[at] += count
+        return tuple(cover)
 
-_BINCOUNT_CHUNK = 1 << 24
+    vertex_images, edge_images = _block_images(length, plan)
+    return CoverProfile(tally(vertex_images, length + 1), tally(edge_images, length))
 
 
 def cover_profile_arrays(length: int, plan: Plan) -> CoverProfile:
     """Covering tally over physically laid-out image arrays.
 
-    Materialises one entry per forest vertex (its spine image) and one per
-    forest edge (the left endpoint of its spine image), one class block at
-    a time, and tallies with chunked bincounts — an element-by-element
-    count that stays in bounded memory on forests far past per-object
-    storage.
+    Lays out one entry per forest vertex (its spine image) and one per
+    forest edge (the left end of its spine image), one class block at a
+    time, and tallies each block with a bincount, so only one block is
+    held at once.
     """
-    vblocks, eblocks = class_blocks(length, plan)
 
-    def tally(arrays, size):
+    def tally(images, size):
         counts = np.zeros(size, dtype=np.int64)
-        for arr in arrays:
-            for lo in range(0, len(arr), _BINCOUNT_CHUNK):
-                chunk = arr[lo : lo + _BINCOUNT_CHUNK]
-                counts += np.bincount(chunk, minlength=size)
-        return tuple(int(c) for c in counts)
+        for at, count in images:
+            counts += np.bincount(np.full(count, at, dtype=np.intp), minlength=size)
+        return tuple(counts.tolist())
 
-    vertex_arrays = (
-        np.full(b.count, b.phi, dtype=np.int16) for b in vblocks if b.count
-    )
-    edge_arrays = (
-        np.full(
-            eb.count,
-            min(vblocks[eb.a_block].phi, vblocks[eb.b_block].phi),
-            dtype=np.int16,
-        )
-        for eb in eblocks
-        if eb.count
-    )
-    return CoverProfile(tally(vertex_arrays, length + 1), tally(edge_arrays, length))
+    vertex_images, edge_images = _block_images(length, plan)
+    return CoverProfile(tally(vertex_images, length + 1), tally(edge_images, length))
 
 
 # -- formula-vs-count verification -------------------------------------------------
@@ -279,8 +274,6 @@ def verify_covering(k: int, method: str = "auto") -> CoveringReport:
         else:
             method = "blocks"
     if method == "tuples":
-        from .constructions import materialise
-
         profile = cover_profile(materialise(length, plan))
     elif method == "arrays":
         profile = cover_profile_arrays(length, plan)

@@ -113,9 +113,6 @@ class EdgeColouredGraph:
             object.__setattr__(self, "_edge_arr", cached)
         return cached
 
-    def neighbours(self, v: int, colour: Colour) -> tuple[int, ...]:
-        return self.adjacency()[v][colour]
-
     def canonical_key(self) -> str:
         """Deterministic string identity, e.g. ``"4:0-1R,2-3B"``."""
         body = ",".join(f"{u}-{v}{c.letter}" for u, v, c in self.edges)
@@ -281,14 +278,10 @@ def random_host(n: int, rng: random.Random) -> EdgeColouredGraph:
     return EdgeColouredGraph.make(n, edges)
 
 
-def random_hosts(count: int, n_max: int, seed: int, n_min: int = 1) -> list[EdgeColouredGraph]:
-    """Deterministic corpus of random hosts with n drawn from n_min..n_max."""
+def random_hosts(count: int, n_max: int, seed: int) -> list[EdgeColouredGraph]:
+    """Deterministic corpus of random hosts with n drawn from 1..n_max."""
     rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        n = rng.randint(n_min, n_max)
-        out.append(random_host(n, rng))
-    return out
+    return [random_host(rng.randint(1, n_max), rng) for _ in range(count)]
 
 
 # -- .ecg text format ----------------------------------------------------

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .constructions import LabelledForest, SequenceTriple, materialise, plan_odd
-from .covering import edge_cover_row, vertex_cover_row
+from .covering import cover_target, edge_cover_row, vertex_cover_row
 
 
 @dataclass(frozen=True)
@@ -164,8 +164,6 @@ def row_satisfied(row: LpRow, assignment: Sequence[Fraction]) -> bool:
 def witness_assignment(k: int, s: SequenceTriple) -> tuple[Fraction, ...]:
     """The normalised sequence vectors plus matching t, for feasibility
     cross-checks."""
-    from .covering import cover_target
-
     total = s.total()
     layout = variable_layout(k)
     assignment = [Fraction(0)] * (6 * k + 6)

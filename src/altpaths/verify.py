@@ -100,15 +100,17 @@ def check_inequalities(
     spine = alternating_path(2 * k + 1)
     e_p = 2 * k + 1
     e_h = len(h.graph.edges)
+    scale = None   # bound_odd(k)^(e_h-e_p), the same for every host
     reports = []
     for g in hosts:
         t_p = Fraction(hom_forest(spine, g), g.n ** spine.n)
         t_h = Fraction(hom_forest(h.graph, g), g.n ** h.graph.n)
+        t_h_e_p = t_h**e_p
+        if scale is None:
+            scale = bound_odd(k) ** (e_h - e_p)
         key = g.canonical_key()
-        reports.append(InequalityReport("path-vs-forest", k, key, t_p**e_h, t_h**e_p))
-        reports.append(InequalityReport(
-            "forest-vs-path", k, key, t_h**e_p, bound_odd(k) ** (e_h - e_p) * t_p**e_p
-        ))
+        reports.append(InequalityReport("path-vs-forest", k, key, t_p**e_h, t_h_e_p))
+        reports.append(InequalityReport("forest-vs-path", k, key, t_h_e_p, scale * t_p**e_p))
     return reports
 
 

@@ -162,3 +162,83 @@ def recompute_phi_oracle(f) -> tuple[int, ...]:
     if any(img is None for img in image):
         raise ValueError("spine image not forced")
     return tuple(image)
+
+
+def class_blocks_oracle(length: int, plan):
+    """Reference expansion of a plan into vertex and edge class blocks.
+
+    One hand-written branch per decoration class, with spine neighbours
+    worked out from index parity alone: the edge (v_i, v_{i+1}) is red for
+    even i and blue for odd i.
+    """
+    from altpaths.constructions import EdgeBlock, VertexBlock
+
+    def colour_of(i: int) -> Colour:
+        return RED if i % 2 == 0 else BLUE
+
+    def red_nb(j: int):
+        cand = j + 1 if j % 2 == 0 else j - 1
+        return cand if 0 <= cand <= length else None
+
+    def blue_nb(j: int):
+        cand = j + 1 if j % 2 == 1 else j - 1
+        return cand if 0 <= cand <= length else None
+
+    def need(value, what: str, j: int) -> int:
+        if value is None:
+            raise ValueError(f"{what} does not exist at spine vertex {j}")
+        return value
+
+    vblocks = [VertexBlock("spine", j, 1, j) for j in range(length + 1)]
+    eblocks = [EdgeBlock(colour_of(i), 1, i, i + 1, fan=True) for i in range(length)]
+    for j in sorted(plan):
+        cc = plan[j]
+        if not 0 <= j <= length:
+            raise ValueError(f"class index {j} outside spine 0..{length}")
+        if cc.y and j >= length:
+            raise ValueError(f"no spine edge ({j},{j + 1}) for isolated-edge class")
+        if cc.xr:
+            r = need(red_nb(j), "red spine neighbour", j)
+            vblocks.append(VertexBlock("xr", j, cc.xr, r))
+            eblocks.append(EdgeBlock(RED, cc.xr, j, len(vblocks) - 1, fan=True))
+        if cc.xb:
+            b = need(blue_nb(j), "blue spine neighbour", j)
+            vblocks.append(VertexBlock("xb", j, cc.xb, b))
+            eblocks.append(EdgeBlock(BLUE, cc.xb, j, len(vblocks) - 1, fan=True))
+        if cc.zr:
+            r = need(red_nb(j), "red spine neighbour", j)
+            rb = need(blue_nb(r), "blue neighbour of red neighbour", j)
+            vblocks.append(VertexBlock("zr", j, cc.zr, r))
+            zr_idx = len(vblocks) - 1
+            vblocks.append(VertexBlock("zrb", j, cc.zr, rb))
+            eblocks.append(EdgeBlock(RED, cc.zr, j, zr_idx, fan=True))
+            eblocks.append(EdgeBlock(BLUE, cc.zr, zr_idx, zr_idx + 1, fan=False))
+        if cc.zb:
+            b = need(blue_nb(j), "blue spine neighbour", j)
+            vblocks.append(VertexBlock("zb", j, cc.zb, b))
+            zb_idx = len(vblocks) - 1
+            vblocks.append(VertexBlock("zbb", j, cc.zb, j))
+            eblocks.append(EdgeBlock(BLUE, cc.zb, j, zb_idx, fan=True))
+            eblocks.append(EdgeBlock(BLUE, cc.zb, zb_idx, zb_idx + 1, fan=False))
+        if cc.y:
+            vblocks.append(VertexBlock("yminus", j, cc.y, j))
+            ym_idx = len(vblocks) - 1
+            vblocks.append(VertexBlock("yplus", j, cc.y, j + 1))
+            eblocks.append(EdgeBlock(colour_of(j), cc.y, ym_idx, ym_idx + 1, fan=False))
+        if cc.aux:
+            vblocks.append(VertexBlock("aux", j, cc.aux, j))
+    return vblocks, eblocks
+
+
+def random_plan(rng: random.Random, length: int):
+    """A random plan on a spine of the given length: class indices on the
+    spine 0..length (so y may sit at j = length), and one in ten at -1 or
+    length+1 outside it; each class count is 0 with probability 1/2, else
+    1..3."""
+    from altpaths.constructions import ClassCounts
+
+    plan = {}
+    for _ in range(rng.randint(1, 3)):
+        j = rng.randint(0, length) if rng.random() < 0.9 else rng.choice((-1, length + 1))
+        plan[j] = ClassCounts(*(rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(6)))
+    return plan

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,15 @@ class TestConstruct:
         assert main(["construct", "--fixture", "H5", "--out", str(tmp_path / "h5.ecg")]) == 0
         assert main(["construct", "--k", "2", "--even", "--out", str(tmp_path / "h4.ecg")]) == 0
         assert read_ecg(tmp_path / "h4.ecg").n == 15
+
+    def test_oversized_forest_refused(self, tmp_path, capsys):
+        # H_40 has 441,161,721 edges: refused from the plan's edge count,
+        # before any vertex is allocated and before any file is written.
+        start = time.perf_counter()
+        assert main(["construct", "--k", "40", "--out", str(tmp_path / "h81.ecg")]) == 3
+        assert time.perf_counter() - start < 10
+        assert "budget refusal" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestHomDensity:
@@ -104,8 +114,8 @@ class TestVerifyCovering:
 
 
 class TestPinnedOutputs:
-    """sha256 of outputs written before the forest checks and the tuples
-    tally moved onto edge arrays; both must stay byte-identical."""
+    """sha256 of reports and files as earlier versions wrote them; rewrites
+    of the construction layer and the tallies must keep them byte-identical."""
 
     @staticmethod
     def digest(path):
@@ -116,6 +126,20 @@ class TestPinnedOutputs:
         argv = ["--json", str(report), "verify-covering", "--k-max", "10", "--method", "tuples"]
         assert main(argv) == 0
         assert self.digest(report) == "eb7966a12ba55f8cc2964835a750d7e44ee5975a8b7cd6f9dd2fa746e04ada32"
+
+    @pytest.mark.parametrize("argv, sha", [
+        (["verify-covering", "--k-max", "20", "--method", "arrays"],
+         "8ae22ce602d571651786a044b9205d3450e9609509525c54b210745581870a41"),
+        (["verify-covering", "--k-max", "100", "--method", "blocks"],
+         "6e38454ca41c414aa1063d0949d42f17727ef6c8845381d0a6ae4e0aea5f5bf3"),
+        (["verify-ineq", "--k", "2", "--hosts", "random", "--count", "100", "--n-max", "6",
+          "--seed", "7"],
+         "20d0c1fbdf2c4d695e3077bba90b0a84314ae1b6766b5f69dd85f23703896da8"),
+    ])
+    def test_json_reports(self, tmp_path, argv, sha):
+        report = tmp_path / "report.json"
+        assert main(["--json", str(report), *argv]) == 0
+        assert self.digest(report) == sha
 
     def test_construct_k4_files(self, tmp_path):
         assert main(["construct", "--k", "4", "--out", str(tmp_path / "h9.ecg")]) == 0
@@ -138,6 +162,11 @@ class TestVerifyIneq:
 
     def test_exhaustive_tiny(self):
         assert main(["verify-ineq", "--k", "1", "--hosts", "exhaustive", "--n", "2"]) == 0
+
+    def test_oversized_forest_refused(self):
+        # H_20 has 14,826,461 edges, past the materialise cap.
+        argv = ["verify-ineq", "--k", "20", "--hosts", "random", "--count", "1"]
+        assert main(argv) == 3
 
     def test_k3_densities_past_the_int_to_str_limit(self, tmp_path):
         # Seed 5 draws a 5-vertex host whose exact k = 3 densities have

@@ -12,9 +12,12 @@ from altpaths.constructions import (
     ClassCounts,
     LabelledForest,
     SequenceTriple,
+    _MATERIALISE_EDGES,
+    _spine_steps,
     alternating_path,
     build_h_even,
     build_h_odd,
+    class_blocks,
     fixture,
     format_roles,
     homomorphism_violation,
@@ -26,9 +29,9 @@ from altpaths.constructions import (
     sequences,
     spine_colour,
 )
-from altpaths.ecgraph import BLUE, RED, EdgeColouredGraph, validate
+from altpaths.ecgraph import BLUE, RED, BudgetExceeded, EdgeColouredGraph, validate
 from altpaths.homcount import is_forest
-from helpers import random_triple, recompute_phi_oracle
+from helpers import class_blocks_oracle, random_plan, random_triple, recompute_phi_oracle
 
 
 class TestSequences:
@@ -226,7 +229,7 @@ class TestRecomputePhi:
 
 
 class TestImagesOutsideSpine:
-    @pytest.mark.parametrize("image", [-1, 7])
+    @pytest.mark.parametrize("image", [-1, 7, 2**70])
     def test_rejected(self, image):
         f = fixture("H3_small")
         aux = f.roles.index(("aux", 1))
@@ -335,6 +338,43 @@ class TestPlans:
 
     def test_spine_colour(self):
         assert spine_colour(0) == RED and spine_colour(1) == BLUE
+
+    def test_class_blocks_match_oracle(self):
+        # The paper plans, then seeded random plans with indices outside the
+        # spine and y at j = length: equal blocks, or the same ValueError.
+        def outcome(expand, length, plan):
+            try:
+                return expand(length, plan)
+            except ValueError as exc:
+                return str(exc)
+
+        rng = random.Random(20261018)
+        cases = [(2 * k + 1, plan_odd(k, sequences(k))) for k in range(1, 41)]
+        for _ in range(2000):
+            length = rng.randint(1, 9)
+            cases.append((length, random_plan(rng, length)))
+        raised = 0
+        for length, plan in cases:
+            got = outcome(class_blocks, length, plan)
+            assert got == outcome(class_blocks_oracle, length, plan), (length, plan)
+            raised += isinstance(got, str)
+        assert 100 < raised < len(cases) - 100
+
+    def test_spine_steps_match_the_spine(self):
+        for length in range(1, 21):
+            adj = alternating_path(length).adjacency()
+            steps = _spine_steps(length)
+            for j in range(length + 1):
+                for colour in (RED, BLUE):
+                    step = steps[colour, j]
+                    assert list(adj[j][colour]) == ([] if step < 0 else [step])
+
+    def test_oversized_forest_refused_before_building(self):
+        k = 16
+        plan = plan_odd(k, sequences(k))
+        assert plan_sizes(2 * k + 1, plan)[1] > _MATERIALISE_EDGES
+        with pytest.raises(BudgetExceeded, match="edges"):
+            materialise(2 * k + 1, plan)
 
 
 class TestSidecar:
