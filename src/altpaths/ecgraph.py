@@ -162,9 +162,14 @@ def validate(g: EdgeColouredGraph) -> Optional[str]:
 
 
 def require_valid(g: EdgeColouredGraph) -> None:
+    """Raise ValueError on an invalid graph.  Success is cached on the
+    graph, like ``adjacency()``, so each graph is validated once."""
+    if "_valid" in g.__dict__:
+        return
     problem = validate(g)
     if problem is not None:
         raise ValueError(f"invalid graph: {problem}")
+    object.__setattr__(g, "_valid", True)
 
 
 def degree_stats(g: EdgeColouredGraph) -> DegreeStats:
@@ -234,7 +239,8 @@ def host_from_index(n: int, index: int) -> EdgeColouredGraph:
     """Decode one graph from the mixed-radix counter over sorted pairs.
 
     Pair p (in (u,v)-sorted order) reads digit (index // 3**p) % 3, with
-    0 = absent, 1 = red, 2 = blue.
+    0 = absent, 1 = red, 2 = blue.  The result is valid by construction
+    and is marked so for ``require_valid``.
     """
     total = host_count(n)
     if not 0 <= index < total:
@@ -247,7 +253,9 @@ def host_from_index(n: int, index: int) -> EdgeColouredGraph:
             edges.append((u, v, RED))
         elif digit == 2:
             edges.append((u, v, BLUE))
-    return EdgeColouredGraph.make(n, edges)
+    g = EdgeColouredGraph.make(n, edges)
+    object.__setattr__(g, "_valid", True)
+    return g
 
 
 def enumerate_hosts(n: int, start: int = 0, stop: Optional[int] = None) -> Iterator[EdgeColouredGraph]:

@@ -10,13 +10,16 @@ of path homomorphisms, its single/pairwise spine marginals (computed by a
 forward/backward walk count, no enumeration needed), the glued
 distribution that extends a random spine homomorphism over a decorated
 forest one conditionally-independent vertex at a time, and the closed-form
-entropy of that gluing.
+entropy of that gluing.  The gluing carries each state as a tuple of images
+with one integer weight over a common denominator; the ``Fraction``
+probabilities are formed once, one per outcome, at the end.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter
 from typing import Hashable, Iterable, Mapping, Optional
 
 from .constructions import LabelledForest, homomorphism_violation
@@ -28,10 +31,6 @@ ENUM_GUARD = 10**7
 
 class EmptySupport(ValueError):
     """Raised when a distribution over homomorphisms has nothing to carry."""
-
-
-def _log2(q: Fraction) -> float:
-    return math.log2(q.numerator) - math.log2(q.denominator)
 
 
 class DiscreteDistribution:
@@ -49,6 +48,25 @@ class DiscreteDistribution:
         if total != 1:
             raise ValueError(f"probabilities sum to {total}, not 1")
         self._prob = cleaned
+
+    @classmethod
+    def from_weights(
+        cls, weights: Mapping[Hashable, int], denominator: int
+    ) -> "DiscreteDistribution":
+        """Outcome -> w / denominator, for nonnegative integer weights that
+        sum to the denominator; checked in integers, then one ``Fraction``
+        per outcome, in the mapping's order."""
+        if not isinstance(denominator, int) or denominator <= 0:
+            raise ValueError(f"denominator {denominator!r} is not a positive integer")
+        for outcome, w in weights.items():
+            if not isinstance(w, int) or w < 0:
+                raise ValueError(f"weight {w!r} for {outcome!r} is not a nonnegative integer")
+        total = sum(weights.values())
+        if total != denominator:
+            raise ValueError(f"weights sum to {total}, not the denominator {denominator}")
+        d = cls.__new__(cls)
+        d._prob = {o: Fraction(w, denominator) for o, w in weights.items()}
+        return d
 
     def probability(self, outcome) -> Fraction:
         return self._prob.get(outcome, Fraction(0))
@@ -92,11 +110,16 @@ def uniform(outcomes: Iterable[Hashable]) -> DiscreteDistribution:
 
 def entropy(d: DiscreteDistribution) -> float:
     """Shannon entropy in bits; 0 log 0 handled by summing the support."""
-    return -sum(float(p) * _log2(p) for _, p in d.items() if p > 0)
+    return _entropy_of(d._prob.values())
 
 
 def _entropy_of(probs: Iterable[Fraction]) -> float:
-    return -sum(float(p) * _log2(p) for p in probs if p > 0)
+    """-sum of float(p) * (log2(numerator) - log2(denominator)) over the
+    positive p, in order."""
+    log2 = math.log2
+    return -sum(
+        n / d * (log2(n) - log2(d)) for n, d in map(Fraction.as_integer_ratio, probs) if n > 0
+    )
 
 
 def conditional_entropy(joint: DiscreteDistribution) -> float:
@@ -211,9 +234,10 @@ class PathMarginals:
     def pair_entropy(self, i: int) -> float:
         return _entropy_of(Fraction(c, self.hom) for c in self.pair_counts[i].values())
 
-    def conditional(self, child_spine: int, parent_spine: int) -> dict:
-        """P(X_child = b | X_parent = a) as {a: {b: Fraction}} for adjacent
-        spine positions."""
+    def conditional_counts(self, child_spine: int, parent_spine: int) -> dict:
+        """{a: {b: count}} for adjacent spine positions: the homomorphisms
+        with the parent position at a and the child position at b.  Row a
+        sums to single_counts[parent_spine][a]."""
         lo, hi = min(child_spine, parent_spine), max(child_spine, parent_spine)
         if hi - lo != 1:
             raise ValueError("conditional requires adjacent spine positions")
@@ -221,9 +245,15 @@ class PathMarginals:
         for (w_lo, w_hi), cnt in self.pair_counts[lo].items():
             a, b = (w_lo, w_hi) if parent_spine == lo else (w_hi, w_lo)
             table.setdefault(a, {})[b] = cnt
+        return table
+
+    def conditional(self, child_spine: int, parent_spine: int) -> dict:
+        """P(X_child = b | X_parent = a) as {a: {b: Fraction}} for adjacent
+        spine positions."""
+        singles = self.single_counts[parent_spine]
         return {
-            a: {b: Fraction(c, self.single_counts[parent_spine][a]) for b, c in row.items()}
-            for a, row in table.items()
+            a: {b: Fraction(c, singles[a]) for b, c in row.items()}
+            for a, row in self.conditional_counts(child_spine, parent_spine).items()
         }
 
 
@@ -250,7 +280,10 @@ def uniform_hom_distribution(
             continue
         for w2 in gadj[partial[-1]][colours[i]]:
             stack.append(partial + (w2,))
-    assert len(tuples) == total
+    if len(tuples) != total:
+        raise ArithmeticError(
+            f"enumerated {len(tuples)} homomorphisms, the walk tables count {total}"
+        )
     return uniform(sorted(tuples))
 
 
@@ -273,6 +306,19 @@ def _forest_bfs_orders(h: LabelledForest) -> list[list[tuple[int, Optional[int]]
     return forest_orders(h.graph)
 
 
+def _weight_factors(marg: PathMarginals, child_spine: int, parent_spine: int):
+    """({a: [(b, count(a, b) * (L // s(a)))]}, L) with s the single counts at
+    parent_spine and L their lcm: the conditional law of the child's image
+    given the parent's, as integers over L."""
+    singles = marg.single_counts[parent_spine]
+    lcm = math.lcm(*singles.values())
+    rows = {
+        a: [(b, c * (lcm // singles[a])) for b, c in row.items()]
+        for a, row in marg.conditional_counts(child_spine, parent_spine).items()
+    }
+    return rows, lcm
+
+
 def glued_distribution(
     h: LabelledForest,
     p: EdgeColouredGraph,
@@ -285,6 +331,13 @@ def glued_distribution(
     follows the conditional law of its spine image given its parent's,
     independent across components.  All probabilities are exact; the
     support is contained in Hom(h, g) by construction.
+
+    A component state is (images in forest_orders order, integer weight).
+    A root at w weighs single_counts[phi(root)][w] over hom(p).  A vertex v
+    below a parent at a multiplies the weight by count(a, b) * (L // s(a))
+    and the denominator by L, where s are the single counts at the parent's
+    spine image and L is their lcm, so every weight shares one denominator.
+    The guard is checked after every vertex and every component.
     """
     bad = homomorphism_violation(h)
     if bad is not None:
@@ -292,26 +345,27 @@ def glued_distribution(
     marg = PathMarginals(p, g)
     if marg.length != h.spine_edges:
         raise ValueError("path length does not match the forest's spine")
-    hom_total = marg.hom
 
+    orders = _forest_bfs_orders(h)
+    spine_steps = {(h.phi[v], h.phi[u]) for order in orders for v, u in order[1:]}
+    factors = {step: _weight_factors(marg, *step) for step in spine_steps}
     component_supports = []
+    denominator = 1
     total_states = 1
-    for order in _forest_bfs_orders(h):
-        # assignments: map vertex -> image, with exact probability
-        states: list[tuple[dict, Fraction]] = []
-        root, _ = order[0]
-        for w, cnt in marg.single_counts[h.phi[root]].items():
-            states.append(({root: w}, Fraction(cnt, hom_total)))
+    for order in orders:
+        position = {v: i for i, (v, _) in enumerate(order)}
+        root = order[0][0]
+        states = [((w,), cnt) for w, cnt in marg.single_counts[h.phi[root]].items()]
+        denominator *= marg.hom
         for v, parent in order[1:]:
-            cond = marg.conditional(h.phi[v], h.phi[parent])
-            new_states = []
-            for assignment, prob in states:
-                a = assignment[parent]
-                for b, q in cond[a].items():
-                    ext = dict(assignment)
-                    ext[v] = b
-                    new_states.append((ext, prob * q))
-            states = new_states
+            rows, lcm = factors[h.phi[v], h.phi[parent]]
+            at = position[parent]
+            states = [
+                (images + (b,), weight * f)
+                for images, weight in states
+                for b, f in rows[images[at]]
+            ]
+            denominator *= lcm
             if len(states) * total_states > guard:
                 raise BudgetExceeded(
                     f"glued support exceeds guard {guard}",
@@ -324,18 +378,19 @@ def glued_distribution(
                 f"glued support exceeds guard {guard}", required=total_states
             )
 
-    out: dict = {}
-    full: list[tuple[dict, Fraction]] = [({}, Fraction(1))]
+    full: list[tuple[tuple, int]] = [((), 1)]
     for states in component_supports:
         full = [
-            ({**acc, **assignment}, p_acc * p_new)
-            for acc, p_acc in full
-            for assignment, p_new in states
+            (acc + images, w_acc * weight)
+            for acc, w_acc in full
+            for images, weight in states
         ]
-    for assignment, prob in full:
-        key = tuple(assignment[v] for v in range(h.graph.n))
-        out[key] = out.get(key, Fraction(0)) + prob
-    return DiscreteDistribution(out)
+    walked = {v: i for i, (v, _) in enumerate(pair for order in orders for pair in order)}
+    perm = [walked[v] for v in range(h.graph.n)]
+    key_of = itemgetter(*perm) if len(perm) > 1 else tuple
+    return DiscreteDistribution.from_weights(
+        {key_of(images): weight for images, weight in full}, denominator
+    )
 
 
 def closed_form_entropy(

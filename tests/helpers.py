@@ -242,3 +242,66 @@ def random_plan(rng: random.Random, length: int):
         j = rng.randint(0, length) if rng.random() < 0.9 else rng.choice((-1, length + 1))
         plan[j] = ClassCounts(*(rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(6)))
     return plan
+
+
+def glued_distribution_oracle(h, p: EdgeColouredGraph, g: EdgeColouredGraph, guard: int):
+    """Reference gluing with one Fraction per state and one dict per
+    assignment.
+
+    Components are walked in forest_orders order; a root follows the
+    marginal of its spine image and every other vertex the conditional law
+    of its image given its parent's.  The guard is checked after every
+    vertex and after every component, as in the production gluing, and the
+    components are crossed first to last, earlier ones outermost.
+    """
+    from altpaths.constructions import homomorphism_violation
+    from altpaths.ecgraph import BudgetExceeded
+    from altpaths.entropy import DiscreteDistribution, PathMarginals
+    from altpaths.homcount import forest_orders
+
+    bad = homomorphism_violation(h)
+    if bad is not None:
+        raise ValueError(f"phi is not a homomorphism: edge {bad}")
+    marg = PathMarginals(p, g)
+    if marg.length != h.spine_edges:
+        raise ValueError("path length does not match the forest's spine")
+
+    component_supports = []
+    total_states = 1
+    for order in forest_orders(h.graph):
+        root, _ = order[0]
+        states = [
+            ({root: w}, Fraction(cnt, marg.hom))
+            for w, cnt in marg.single_counts[h.phi[root]].items()
+        ]
+        for v, parent in order[1:]:
+            cond = marg.conditional(h.phi[v], h.phi[parent])
+            new_states = []
+            for assignment, prob in states:
+                for b, q in cond[assignment[parent]].items():
+                    ext = dict(assignment)
+                    ext[v] = b
+                    new_states.append((ext, prob * q))
+            states = new_states
+            if len(states) * total_states > guard:
+                raise BudgetExceeded(
+                    f"glued support exceeds guard {guard}",
+                    required=len(states) * total_states,
+                )
+        component_supports.append(states)
+        total_states *= len(states)
+        if total_states > guard:
+            raise BudgetExceeded(f"glued support exceeds guard {guard}", required=total_states)
+
+    full = [({}, Fraction(1))]
+    for states in component_supports:
+        full = [
+            ({**acc, **assignment}, p_acc * p_new)
+            for acc, p_acc in full
+            for assignment, p_new in states
+        ]
+    out = {}
+    for assignment, prob in full:
+        key = tuple(assignment[v] for v in range(h.graph.n))
+        out[key] = out.get(key, Fraction(0)) + prob
+    return DiscreteDistribution(out)

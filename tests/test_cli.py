@@ -11,7 +11,7 @@ import pytest
 import altpaths
 from altpaths.cli import main
 from altpaths.constructions import alternating_path, parse_roles
-from altpaths.ecgraph import BLUE, RED, EdgeColouredGraph, read_ecg, write_ecg
+from altpaths.ecgraph import BLUE, RED, EdgeColouredGraph, host_from_index, read_ecg, write_ecg
 from helpers import path_walk_oracle
 
 TRIANGLE = EdgeColouredGraph.make(3, [(0, 1, RED), (1, 2, BLUE), (0, 2, RED)])
@@ -149,6 +149,28 @@ class TestPinnedOutputs:
         assert self.digest(tmp_path / "h9.roles") == (
             "1e63300754d9d7bbb3e3328500da12b88406ab7b9ac84cef06213c4cbda53d83"
         )
+
+    @pytest.mark.parametrize("name, stdout_sha, json_sha", [
+        ("H3_small",
+         "6d88ccd3cfade25658dacd86a1c1175c7d9912d6b06626342b687bec9c6d502e",
+         "5860c1303a06fd91840a817445509b58c09dc9e81846b9d9afea1d8b9fea8dd8"),
+        ("H3_large",
+         "48913a45d937f6b0a7e24ed41e44ae88a5c150f114774b29c3011c58a4823a83",
+         "821fe77e671a0852c2a05b6e4c3fc506d33c4be4f763ddd98ebc001ad99063a3"),
+        ("H5",
+         "a97e4bc69adcc39476e8ab962820a88aea4724f4424ad443a7275cba1f034de6",
+         "23197dbb9ffc708f03e36982a28580506021adb4a872cb13aa7d495486956804"),
+    ])
+    def test_entropy_check(self, tmp_path, capsys, name, stdout_sha, json_sha):
+        host = tmp_path / "h44.ecg"
+        write_ecg(host_from_index(4, 44), host)
+        argv = ["entropy-check", "--fixture", name, "--host", str(host)]
+        assert main(["--budget", "30000", *argv]) == 0
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_sha
+        report = tmp_path / "entropy.json"
+        assert main(["--budget", "30000", "--json", str(report), *argv]) == 0
+        assert self.digest(report) == json_sha
 
 
 class TestVerifyIneq:

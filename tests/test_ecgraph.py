@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from altpaths.constructions import alternating_path
 from altpaths.ecgraph import (
     BLUE,
     RED,
@@ -18,9 +19,11 @@ from altpaths.ecgraph import (
     host_from_index,
     parse_ecg,
     random_host,
+    require_valid,
     symmetric_residues,
     validate,
 )
+from altpaths.homcount import hom_forest
 from helpers import brute_two_walks, random_graph
 
 TRIANGLE = EdgeColouredGraph.make(3, [(0, 1, RED), (1, 2, BLUE), (0, 2, RED)])
@@ -141,6 +144,13 @@ class TestEnumerateHosts:
     def test_all_valid(self):
         assert all(validate(g) is None for g in enumerate_hosts(3))
 
+    def test_decoded_hosts_marked_valid_are_valid(self):
+        # host_from_index marks its result valid, so require_valid skips
+        # the scan; the mark has to be true of every decoded host.
+        hosts = [host_from_index(4, i) for i in range(host_count(4))]
+        assert all(g.__dict__.get("_valid") for g in hosts)
+        assert all(validate(g) is None for g in hosts)
+
     def test_restartable_slices(self):
         full = [g.canonical_key() for g in enumerate_hosts(3)]
         pieces = []
@@ -152,6 +162,22 @@ class TestEnumerateHosts:
     def test_bad_range(self):
         with pytest.raises(ValueError):
             list(enumerate_hosts(2, 0, 99))
+
+
+class TestRequireValid:
+    BAD = EdgeColouredGraph(3, ((0, 1, RED), (0, 1, BLUE)))
+
+    def test_invalid_host_raises_through_hom_forest_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="duplicate pair"):
+                hom_forest(alternating_path(1), self.BAD)
+        assert "_valid" not in self.BAD.__dict__
+
+    def test_success_is_cached_on_the_graph(self):
+        g = EdgeColouredGraph.make(3, [(0, 1, RED)])
+        assert "_valid" not in g.__dict__
+        require_valid(g)
+        assert g.__dict__["_valid"] is True
 
 
 class TestEcgFormat:

@@ -1,9 +1,14 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import altpaths
 from altpaths.constructions import (
     ClassCounts,
     alternating_path,
@@ -11,8 +16,17 @@ from altpaths.constructions import (
     LabelledForest,
     fixture,
     materialise,
+    plan_odd,
 )
-from altpaths.ecgraph import BLUE, RED, BudgetExceeded, EdgeColouredGraph, circulant_host
+from altpaths.ecgraph import (
+    BLUE,
+    RED,
+    BudgetExceeded,
+    EdgeColouredGraph,
+    circulant_host,
+    host_count,
+    host_from_index,
+)
 from altpaths.entropy import (
     DiscreteDistribution,
     EmptySupport,
@@ -27,7 +41,7 @@ from altpaths.entropy import (
     uniform_hom_distribution,
 )
 from altpaths.homcount import NotAForest, hom_forest
-from helpers import random_graph
+from helpers import glued_distribution_oracle, random_graph, random_triple
 
 TRIANGLE = EdgeColouredGraph.make(3, [(0, 1, RED), (1, 2, BLUE), (0, 2, RED)])
 # Red 4-cycle with a blue perfect matching: every alternating walk extends.
@@ -70,6 +84,44 @@ class TestEntropy:
             DiscreteDistribution({0: Fraction(1, 2)})
         with pytest.raises(ValueError, match="negative"):
             DiscreteDistribution({0: Fraction(3, 2), 1: Fraction(-1, 2)})
+
+    def test_entropy_is_the_defining_sum_bit_for_bit(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            d = random_distribution(rng, range(rng.randint(1, 9)))
+            d = DiscreteDistribution({**dict(d.items()), "zero": Fraction(0)})
+            expected = -sum(
+                float(p) * (math.log2(p.numerator) - math.log2(p.denominator))
+                for _, p in d.items()
+                if p > 0
+            )
+            assert entropy(d) == expected
+
+
+class TestFromWeights:
+    def test_same_as_fraction_constructor(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            weights = {o: rng.randint(0, 50) for o in range(rng.randint(1, 8))}
+            total = sum(weights.values())
+            if total == 0:
+                continue
+            d = DiscreteDistribution.from_weights(weights, total)
+            ref = DiscreteDistribution({o: Fraction(w, total) for o, w in weights.items()})
+            assert list(d.items()) == list(ref.items())
+            assert all(type(p) is Fraction for _, p in d.items())
+
+    @pytest.mark.parametrize("weights, denominator, fragment", [
+        ({0: 1, 1: 1}, 3, "sum"),
+        ({0: 4, 1: -1}, 3, "nonnegative integer"),
+        ({0: 1.0, 1: 2}, 3, "nonnegative integer"),
+        ({0: Fraction(1), 1: 2}, 3, "nonnegative integer"),
+        ({}, 0, "positive integer"),
+        ({0: 1}, 1.0, "positive integer"),
+    ])
+    def test_rejections(self, weights, denominator, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            DiscreteDistribution.from_weights(weights, denominator)
 
 
 class TestConditionalEntropy:
@@ -211,6 +263,40 @@ class TestUniformHomDistribution:
             uniform_hom_distribution(alternating_path(5), big, guard=10)
 
 
+def test_enumeration_count_check_survives_optimised_mode():
+    # Under python -O a bare assert disappears; the check that the
+    # enumeration found every homomorphism the walk tables count must not.
+    src = str(Path(altpaths.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import sys\n"
+        "from altpaths import entropy as e\n"
+        "from altpaths.constructions import alternating_path\n"
+        "from altpaths.ecgraph import circulant_host\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(3)\n"
+        "walk = e._walk_tables\n"
+        "def doubled(p, g):\n"
+        "    colours, forward, backward = walk(p, g)\n"
+        "    return colours, forward[:-1] + [[2 * c for c in forward[-1]]], backward\n"
+        "e._walk_tables = doubled\n"
+        "try:\n"
+        "    e.uniform_hom_distribution(alternating_path(3), circulant_host(4, {1, 3}))\n"
+        "except ArithmeticError as exc:\n"
+        "    print(exc)\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    assert "the walk tables count" in result.stdout
+
+
 class TestPathEntropyFormula:
     def test_matches_log_hom_on_random_hosts(self):
         rng = random.Random(2718)
@@ -294,6 +380,60 @@ class TestGluedDistribution:
         h = fixture("H5")
         with pytest.raises(BudgetExceeded):
             glued_distribution(h, alternating_path(5), C4, guard=100)
+
+
+def _glue_or_refusal(glue_fn, h, g, guard):
+    spine = alternating_path(h.spine_edges)
+    try:
+        return glue_fn(h, spine, g, guard=guard)
+    except BudgetExceeded as exc:
+        return ("refused", exc.required)
+    except EmptySupport:
+        return ("empty", None)
+
+
+def _check_against_oracle(h, g, guard, outcomes):
+    new = _glue_or_refusal(glued_distribution, h, g, guard)
+    old = _glue_or_refusal(glued_distribution_oracle, h, g, guard)
+    if isinstance(old, tuple):
+        assert new == old
+        outcomes.add(old[0])
+    else:
+        assert list(new.items()) == list(old.items())
+        assert entropy(new) == entropy(old)
+        outcomes.add("glued")
+
+
+class TestGluedAgainstOracle:
+    """The integer-weight gluing against the Fraction-per-state oracle: the
+    same items in the same order, the same entropy float, or a refusal with
+    the same required state count."""
+
+    def test_fixtures_on_every_four_vertex_host(self):
+        spines = (alternating_path(3), alternating_path(5))
+        hosts = [host_from_index(4, i) for i in range(host_count(4))]
+        hosts = [g for g in hosts if all(hom_forest(p, g) for p in spines)]
+        assert len(hosts) == 96
+        outcomes = set()
+        for name in ("H3_small", "H3_large", "H5"):
+            h = fixture(name)
+            for g in hosts:
+                _check_against_oracle(h, g, 30_000, outcomes)
+        assert outcomes == {"glued", "refused"}
+
+    def test_random_triples(self):
+        rng = random.Random(2026)
+        outcomes = set()
+        for _ in range(100):
+            s = random_triple(rng)
+            h = materialise(2 * s.k + 1, plan_odd(s.k, s))
+            spine = alternating_path(h.spine_edges)
+            host = random_graph(rng, rng.randint(2, 5))
+            while not hom_forest(spine, host):
+                host = random_graph(rng, rng.randint(2, 5))
+            for g in (TRIANGLE, C4, host):
+                _check_against_oracle(h, g, 3_000, outcomes)
+        assert outcomes == {"glued", "refused", "empty"}
 
 
 @pytest.mark.parametrize("measure", [closed_form_entropy, glued_distribution])
