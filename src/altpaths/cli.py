@@ -48,14 +48,14 @@ def cmd_construct(args) -> int:
     profile = covering.cover_profile(forest)
     print(
         f"wrote {args.out}: {forest.graph.n} vertices, "
-        f"{len(forest.graph.edges)} edges, spine {forest.spine_edges}, "
+        f"{forest.graph.num_edges()} edges, spine {forest.spine_edges}, "
         f"uniform multiplicity {profile.uniform_multiplicity}"
     )
     _emit(args, {
         "command": "construct",
         "out": args.out,
         "vertices": forest.graph.n,
-        "edges": len(forest.graph.edges),
+        "edges": forest.graph.num_edges(),
         "multiplicity": profile.uniform_multiplicity,
     })
     return EXIT_PASS

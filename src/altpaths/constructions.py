@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Optional
 
 import numpy as np
@@ -320,39 +320,136 @@ def plan_odd(k: int, s: SequenceTriple) -> Plan:
 
 # -- labelled forests ------------------------------------------------------
 
+# The role kinds in class-block order; a role's kind code is its index here.
+ROLE_KINDS = ("spine", "xr", "xb", "zr", "zrb", "zb", "zbb", "yminus", "yplus", "aux")
+_KIND_CODES = {kind: code for code, kind in enumerate(ROLE_KINDS)}
+_PINNED_CODES = [_KIND_CODES[kind] for kind in ("spine", "yminus", "aux")]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class LabelledForest:
-    """A forest together with role labels and its spine homomorphism."""
+    """A forest together with role labels and its spine homomorphism.
+
+    A forest built by ``from_arrays`` keeps its roles and phi as int64
+    arrays; the ``roles`` and ``phi`` tuples are made on first read and
+    kept, so ``==`` and ``hash`` are those of the tuples.
+    """
 
     graph: EdgeColouredGraph
     roles: tuple[tuple[str, int], ...]
     phi: tuple[int, ...]
     spine_edges: int
 
-    def phi_array(self) -> np.ndarray:
-        """phi as an int64 array; ValueError for an image outside the spine."""
-        try:
-            phi = np.fromiter(self.phi, dtype=np.int64, count=len(self.phi))
-            outside = np.flatnonzero((phi < 0) | (phi > self.spine_edges)).tolist()
-        except OverflowError:  # an image past int64 lies outside the spine too
-            outside = [v for v, img in enumerate(self.phi) if not 0 <= img <= self.spine_edges]
-        if outside:
-            v = outside[0]
-            raise ValueError(
-                f"image {self.phi[v]} of vertex {v} outside spine 0..{self.spine_edges}"
+    def __getattr__(self, name: str):
+        # Reached only for an attribute missing from the instance: the role
+        # and phi tuples of an array-built forest before their first read.
+        if name == "roles" and "_role_arr" in self.__dict__:
+            # One tuple per run of equal rows (a class block), shared by the
+            # vertices of the run.
+            roles = self.__dict__["_role_arr"]
+            first = np.ones(len(roles), dtype=bool)
+            first[1:] = (roles[1:] != roles[:-1]).any(axis=1)
+            starts = np.flatnonzero(first)
+            runs = zip(roles[starts].tolist(), np.diff(starts, append=len(roles)).tolist())
+            value = tuple(
+                chain.from_iterable(repeat((ROLE_KINDS[kind], j), count) for (kind, j), count in runs)
             )
+        elif name == "phi" and "_phi_arr" in self.__dict__:
+            value = tuple(self.__dict__["_phi_arr"].tolist())
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
+
+    @staticmethod
+    def from_arrays(
+        graph: EdgeColouredGraph, roles: np.ndarray, phi: np.ndarray, spine_edges: int
+    ) -> "LabelledForest":
+        """Build a forest from int64 arrays, which are made read-only and
+        kept: ``(n, 2)`` role rows (kind code, class index), where a kind
+        code indexes ``ROLE_KINDS``, and the ``n`` spine images."""
+        f = object.__new__(LabelledForest)
+        object.__setattr__(f, "graph", graph)
+        object.__setattr__(f, "spine_edges", spine_edges)
+        object.__setattr__(f, "_role_arr", _frozen(roles))
+        object.__setattr__(f, "_phi_arr", _frozen(phi))
+        return f
+
+    def role_array(self) -> np.ndarray:
+        """The roles as a read-only int64 ``(n, 2)`` array of rows (kind
+        code, class index), kind code -1 for a kind outside ``ROLE_KINDS``:
+        the primary store of an array-built forest, else built once and
+        cached."""
+        cached = self.__dict__.get("_role_arr")
+        if cached is None:
+            rows = ((_KIND_CODES.get(kind, -1), j) for kind, j in self.roles)
+            try:
+                cached = np.fromiter(rows, np.dtype((np.int64, 2)), len(self.roles))
+            except OverflowError:
+                raise ValueError("role class index outside int64") from None
+            object.__setattr__(self, "_role_arr", _frozen(cached))
+        return cached
+
+    def phi_array(self) -> np.ndarray:
+        """phi as a read-only int64 array (the primary store of an
+        array-built forest); ValueError for an image outside the spine."""
+        phi = self.__dict__.get("_phi_arr")
+        if phi is None:
+            try:
+                phi = np.fromiter(self.phi, dtype=np.int64, count=len(self.phi))
+            except OverflowError:  # an image past int64 lies outside the spine too
+                v = next(v for v, img in enumerate(self.phi) if not 0 <= img <= self.spine_edges)
+                raise ValueError(
+                    f"image {self.phi[v]} of vertex {v} outside spine 0..{self.spine_edges}"
+                ) from None
+            object.__setattr__(self, "_phi_arr", _frozen(phi))
+        outside = np.flatnonzero((phi < 0) | (phi > self.spine_edges))
+        if outside.size:
+            v = outside[0]
+            raise ValueError(f"image {phi[v]} of vertex {v} outside spine 0..{self.spine_edges}")
         return phi
 
 
-# Building a forest as Python objects peaks at about 390 bytes of memory per
-# edge (H_k at k = 8, 10 and 12), so this cap keeps a build under 2 GB:
-# H_15 (3,690,271 edges) builds and H_16 (5,035,569) is refused.
+# The array build peaks at about 260 bytes of memory per edge (H_k at k = 8,
+# 10 and 12; building the tuples took about 385).  The cap stays where the
+# tuple build put it, because ``write_ecg``, ``format_roles`` and
+# ``hom_forest`` still read the tuples: writing a forest peaks at about 310
+# bytes per edge, compiling its ``hom_forest`` plan at about 650.  H_15
+# (3,690,271 edges) builds and H_16 (5,035,569) is refused; moving this cap
+# or ``covering._MATERIALISE_CAP`` would change exit codes and the method
+# that ``verify-covering`` picks by default.
 _MATERIALISE_EDGES = 5_000_000
+
+
+def _edge_rows(eblocks: list[EdgeBlock], starts: np.ndarray, edge_count: int) -> np.ndarray:
+    """The ``(u, v, colour)`` rows of every edge, block after block."""
+    # Per edge block: edge count, first tail, tail step (0 for a fan, 1 for
+    # parallel edges), first head and colour; an edge's offset in its block
+    # advances the head, and the tail by the step.
+    ecount, a0, step, b0, colour = np.array(
+        [
+            (eb.count, starts[eb.a_block], not eb.fan, starts[eb.b_block], eb.colour)
+            for eb in eblocks
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 5).T
+    offset = np.arange(edge_count) - np.repeat(np.cumsum(ecount) - ecount, ecount)
+    rows = np.empty((edge_count, 3), dtype=np.int64)
+    rows[:, 0] = np.repeat(a0, ecount) + np.repeat(step, ecount) * offset
+    rows[:, 1] = np.repeat(b0, ecount) + offset
+    rows[:, 2] = np.repeat(colour, ecount)
+    return rows
 
 
 def materialise(length: int, plan: Plan) -> LabelledForest:
     """Lay a plan out as an explicit labelled forest, vertices in block
-    order; BudgetExceeded for more than ``_MATERIALISE_EDGES`` edges."""
+    order, as arrays repeated block by block; BudgetExceeded for more than
+    ``_MATERIALISE_EDGES`` edges."""
     vblocks, eblocks = class_blocks(length, plan)
     edge_count = sum(eb.count for eb in eblocks)
     if edge_count > _MATERIALISE_EDGES:
@@ -360,22 +457,16 @@ def materialise(length: int, plan: Plan) -> LabelledForest:
             f"{edge_count} forest edges exceed the materialise cap of {_MATERIALISE_EDGES}",
             required=edge_count,
         )
-    starts: list[int] = []
-    roles: list[tuple[str, int]] = []
-    phi: list[int] = []
-    for b in vblocks:
-        starts.append(len(phi))
-        roles.extend([(b.kind, b.j)] * b.count)
-        phi.extend([b.phi] * b.count)
-    edges = []
-    for eb in eblocks:
-        a0 = starts[eb.a_block]
-        b0 = starts[eb.b_block]
-        tails = repeat(a0, eb.count) if eb.fan else range(a0, a0 + eb.count)
-        edges.extend(zip(tails, range(b0, b0 + eb.count), repeat(eb.colour, eb.count)))
-    graph = EdgeColouredGraph.make(len(phi), edges)
-    forest = LabelledForest(graph, tuple(roles), tuple(phi), length)
-    if recompute_phi(forest) != forest.phi:
+    vcount = np.array([b.count for b in vblocks], dtype=np.int64)
+    roles = np.array([(_KIND_CODES[b.kind], b.j) for b in vblocks], dtype=np.int64)
+    roles = np.repeat(roles, vcount, axis=0)
+    phi = np.repeat(np.array([b.phi for b in vblocks], dtype=np.int64), vcount)
+    graph = EdgeColouredGraph.from_edge_array(
+        len(phi), _edge_rows(eblocks, np.cumsum(vcount) - vcount, edge_count)
+    )
+    forest = LabelledForest.from_arrays(graph, roles, phi, length)
+    # Compared with a throwaway tuple, so the forest's phi tuple stays unbuilt.
+    if recompute_phi(forest) != tuple(phi.tolist()):
         raise ValueError("materialised phi differs from the images its pins force")
     return forest
 
@@ -386,10 +477,10 @@ def homomorphism_violation(f: LabelledForest) -> Optional[tuple[int, int, Colour
     phi = f.phi_array()
     e = f.graph.edge_array()
     bad = np.flatnonzero(_spine_steps(f.spine_edges)[e[:, 2], phi[e[:, 0]]] != phi[e[:, 1]])
-    return f.graph.edges[bad[0]] if bad.size else None
-
-
-_PINNED_KINDS = frozenset(("spine", "yminus", "aux"))
+    if not bad.size:
+        return None
+    u, v, c = e[bad[0]].tolist()
+    return u, v, Colour(c)
 
 
 def recompute_phi(f: LabelledForest) -> tuple[int, ...]:
@@ -408,13 +499,14 @@ def recompute_phi(f: LabelledForest) -> tuple[int, ...]:
     n = f.graph.n
     steps = _spine_steps(length)
     image = np.full(n, -1, dtype=np.int64)
-    pins = [(v, j) for v, (kind, j) in enumerate(f.roles) if kind in _PINNED_KINDS]
-    for v, j in pins:
-        if not 0 <= j <= length:
-            raise ValueError(f"pinned image {j} of vertex {v} outside spine 0..{length}")
-    if pins:
-        pinned, at = np.array(pins, dtype=np.int64).T
-        image[pinned] = at
+    roles = f.role_array()
+    pinned = np.flatnonzero(np.isin(roles[:, 0], _PINNED_CODES))
+    at = roles[pinned, 1]
+    outside = np.flatnonzero((at < 0) | (at > length))
+    if outside.size:
+        i = outside[0]
+        raise ValueError(f"pinned image {at[i]} of vertex {pinned[i]} outside spine 0..{length}")
+    image[pinned] = at
     e = f.graph.edge_array()
     tails = np.concatenate([e[:, 0], e[:, 1]])
     order = np.argsort(tails, kind="stable")

@@ -250,6 +250,9 @@ class CoveringReport:
         ]
 
 
+# "auto" materialises forests up to this many edges.  The array build would
+# reach further, but the method it picks is part of the ``--json`` report,
+# so the cap stays (see ``constructions._MATERIALISE_EDGES``).
 _MATERIALISE_CAP = 2_000_000
 _ARRAYS_CAP = 500_000_000
 
@@ -257,10 +260,11 @@ _ARRAYS_CAP = 500_000_000
 def verify_covering(k: int, method: str = "auto") -> CoveringReport:
     """Check formulas against the built forest's actual covering for one k.
 
-    method: "tuples" materialises the forest as Python objects and uses
-    ``cover_profile``; "arrays" uses the physically laid-out image arrays;
-    "blocks" uses the grouped class tally; "auto" picks tuples below the
-    materialisation cap, arrays up to ~5e8 edges, grouped blocks beyond.
+    method: "tuples" materialises the forest as its edge, role and phi
+    arrays (no per-edge Python objects) and uses ``cover_profile``;
+    "arrays" uses the physically laid-out image arrays; "blocks" uses the
+    grouped class tally; "auto" picks tuples below the materialisation
+    cap, arrays up to ~5e8 edges, grouped blocks beyond.
     """
     s = sequences(k)
     plan = plan_odd(k, s)

@@ -38,6 +38,7 @@ class Colour(IntEnum):
 
 RED = Colour.RED
 BLUE = Colour.BLUE
+_COLOURS = (RED, BLUE)
 
 Edge = tuple[int, int, Colour]
 
@@ -52,10 +53,41 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class EdgeColouredGraph:
-    """Simple loopless graph on ``0..n-1`` whose edges carry a colour."""
+    """Simple loopless graph on ``0..n-1`` whose edges carry a colour.
+
+    A graph built by ``from_edge_array`` keeps its int64 edge array as the
+    primary store; its ``edges`` tuple is made on first read and kept, so
+    ``==`` and ``hash`` (over ``n`` and ``edges``) are those of the tuple.
+    """
 
     n: int
     edges: tuple[Edge, ...]
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute missing from the instance: the edge
+        # tuple of an array-built graph before its first read.
+        arr = self.__dict__.get("_edge_arr")
+        if name != "edges" or arr is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        u, v, c = arr.T.tolist()
+        edges = tuple(zip(u, v, map(_COLOURS.__getitem__, c)))
+        object.__setattr__(self, "edges", edges)
+        return edges
+
+    @staticmethod
+    def from_edge_array(n: int, edges: np.ndarray) -> "EdgeColouredGraph":
+        """Build a graph from an int64 ``(m, 3)`` array of rows ``(u, v,
+        colour)``, rows put into the order ``make`` gives (``np.lexsort``);
+        the array becomes the graph's ``edge_array()``."""
+        arr = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
+        if ((arr[:, 2] != RED) & (arr[:, 2] != BLUE)).any():
+            raise ValueError("edge colours must be 0 (red) or 1 (blue)")
+        arr = arr[np.lexsort(arr.T[::-1])]
+        arr.flags.writeable = False
+        g = object.__new__(EdgeColouredGraph)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "_edge_arr", arr)
+        return g
 
     @staticmethod
     def make(n: int, edges: Iterable[tuple[int, int, Colour]]) -> "EdgeColouredGraph":
@@ -79,6 +111,11 @@ class EdgeColouredGraph:
     # -- derived accessors ------------------------------------------------
 
     def num_edges(self, colour: Optional[Colour] = None) -> int:
+        """Edge count, of one colour if given; read from the edge array of
+        an array-built graph, without making its tuple."""
+        arr = self.__dict__.get("_edge_arr")
+        if arr is not None:
+            return len(arr) if colour is None else int(np.count_nonzero(arr[:, 2] == colour))
         if colour is None:
             return len(self.edges)
         return sum(1 for _, _, c in self.edges if c == colour)
@@ -101,8 +138,8 @@ class EdgeColouredGraph:
 
     def edge_array(self) -> np.ndarray:
         """The edges as a read-only int64 ``(m, 3)`` array of rows
-        ``(u, v, colour)`` in edge order, built once and cached like
-        ``adjacency()``."""
+        ``(u, v, colour)`` in edge order: the primary store of an
+        array-built graph, else built once and cached like ``adjacency()``."""
         cached = self.__dict__.get("_edge_arr")
         if cached is None:
             m = len(self.edges)

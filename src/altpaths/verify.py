@@ -99,7 +99,7 @@ def check_inequalities(
         )
     spine = alternating_path(2 * k + 1)
     e_p = 2 * k + 1
-    e_h = len(h.graph.edges)
+    e_h = h.graph.num_edges()
     scale = None   # bound_odd(k)^(e_h-e_p), the same for every host
     reports = []
     for g in hosts:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 
 from altpaths.ecgraph import BLUE, RED, Colour, EdgeColouredGraph
 
@@ -228,6 +228,41 @@ def class_blocks_oracle(length: int, plan):
         if cc.aux:
             vblocks.append(VertexBlock("aux", j, cc.aux, j))
     return vblocks, eblocks
+
+
+def materialise_oracle(length: int, plan):
+    """Reference layout of a plan as a labelled forest built from tuples:
+    one role pair and one phi entry per vertex, one edge tuple per edge,
+    sorted by ``EdgeColouredGraph.make``, with the same edge cap and the
+    same phi check as ``materialise``."""
+    from altpaths import constructions as c
+    from altpaths.ecgraph import BudgetExceeded
+
+    vblocks, eblocks = c.class_blocks(length, plan)
+    edge_count = sum(eb.count for eb in eblocks)
+    if edge_count > c._MATERIALISE_EDGES:
+        raise BudgetExceeded(
+            f"{edge_count} forest edges exceed the materialise cap of {c._MATERIALISE_EDGES}",
+            required=edge_count,
+        )
+    starts = []
+    roles = []
+    phi = []
+    for b in vblocks:
+        starts.append(len(phi))
+        roles.extend([(b.kind, b.j)] * b.count)
+        phi.extend([b.phi] * b.count)
+    edges = []
+    for eb in eblocks:
+        a0 = starts[eb.a_block]
+        b0 = starts[eb.b_block]
+        tails = repeat(a0, eb.count) if eb.fan else range(a0, a0 + eb.count)
+        edges.extend(zip(tails, range(b0, b0 + eb.count), repeat(eb.colour, eb.count)))
+    graph = EdgeColouredGraph.make(len(phi), edges)
+    forest = c.LabelledForest(graph, tuple(roles), tuple(phi), length)
+    if c.recompute_phi(forest) != forest.phi:
+        raise ValueError("materialised phi differs from the images its pins force")
+    return forest
 
 
 def random_plan(rng: random.Random, length: int):

@@ -4,11 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import altpaths
-from altpaths.covering import cover_profile
+from altpaths import constructions
+from altpaths.covering import cover_profile, cover_target
 from altpaths.constructions import (
+    FIXTURE_NAMES,
     ClassCounts,
     LabelledForest,
     SequenceTriple,
@@ -29,9 +32,15 @@ from altpaths.constructions import (
     sequences,
     spine_colour,
 )
-from altpaths.ecgraph import BLUE, RED, BudgetExceeded, EdgeColouredGraph, validate
+from altpaths.ecgraph import BLUE, RED, BudgetExceeded, Colour, EdgeColouredGraph, validate
 from altpaths.homcount import is_forest
-from helpers import class_blocks_oracle, random_plan, random_triple, recompute_phi_oracle
+from helpers import (
+    class_blocks_oracle,
+    materialise_oracle,
+    random_plan,
+    random_triple,
+    recompute_phi_oracle,
+)
 
 
 class TestSequences:
@@ -186,6 +195,99 @@ def _corruptions(f: LabelledForest, rng: random.Random):
     extra = (min(pin, w), max(pin, w), rng.choice((RED, BLUE)))
     graph = EdgeColouredGraph.make(f.graph.n, f.graph.edges + (extra,))
     yield LabelledForest(graph, f.roles, f.phi, f.spine_edges)
+
+
+def _assert_same_forest(got: LabelledForest, want: LabelledForest):
+    assert got.graph.n == want.graph.n
+    assert got.graph.edges == want.graph.edges
+    assert got.roles == want.roles
+    assert got.phi == want.phi
+    assert got.spine_edges == want.spine_edges
+    assert got == want and hash(got) == hash(want)
+
+
+def _built(build, length, plan):
+    try:
+        return build(length, plan)
+    except (ValueError, BudgetExceeded) as exc:
+        return type(exc), str(exc)
+
+
+class TestMaterialise:
+    def test_matches_oracle(self):
+        # The paper plans, seeded random plans that build, and seeded ones
+        # that fail: equal forests, or the same error with the same text.
+        rng = random.Random(8080)
+        cases = [(2 * k + 1, plan_odd(k, sequences(k))) for k in range(1, 11)]
+        cases += [_random_plan(rng) for _ in range(200)]
+        cases += [(length, random_plan(rng, length)) for length in (1, 3, 5) for _ in range(40)]
+        cases.append((33, plan_odd(16, sequences(16))))
+        failed = 0
+        for length, plan in cases:
+            got = _built(materialise, length, plan)
+            want = _built(materialise_oracle, length, plan)
+            if isinstance(want, LabelledForest):
+                _assert_same_forest(got, want)
+            else:
+                assert got == want, (length, plan)
+                failed += 1
+        assert 10 < failed < len(cases) - 200
+
+    def test_fixtures_and_even_spines_match_oracle(self, monkeypatch):
+        # Every plan that fixture() and build_h_even() lay out, checked
+        # against the oracle as it is built.
+        built = []
+        real = constructions.materialise
+
+        def checked(length, plan):
+            forest = real(length, plan)
+            _assert_same_forest(forest, materialise_oracle(length, plan))
+            built.append(length)
+            return forest
+
+        monkeypatch.setattr(constructions, "materialise", checked)
+        for name in FIXTURE_NAMES:
+            fixture(name)
+        for k in range(1, 5):
+            build_h_even(k)
+        assert built[:3] == [3, 3, 5] and set(built[3:]) == {2, 4, 6, 8}
+
+    def test_cover_profile_leaves_tuples_unbuilt(self):
+        # The covering tally reads the edge, role and phi arrays only: no
+        # per-edge or per-vertex Python objects are made.
+        f = materialise(21, plan_odd(10, sequences(10)))
+        assert cover_profile(f).uniform_multiplicity == cover_target(10) + 1
+        assert "edges" not in vars(f.graph)
+        assert "roles" not in vars(f) and "phi" not in vars(f)
+
+    def test_violation_on_array_forest_matches_tuple_twin(self):
+        rng = random.Random(4242)
+        length, plan = 9, plan_odd(4, sequences(4))
+        h = materialise(length, plan)
+        twin = materialise_oracle(length, plan)
+        connected = np.unique(h.graph.edge_array()[:, :2])
+        for _ in range(30):
+            phi = h.phi_array().copy()
+            v = int(rng.choice(connected))
+            phi[v] = rng.choice([j for j in range(length + 1) if j != phi[v]])
+            edges = h.graph.edge_array().copy()
+            i = rng.randrange(len(edges))
+            edges[i, 2] ^= rng.randint(0, 1)
+            bad = LabelledForest.from_arrays(
+                EdgeColouredGraph.from_edge_array(h.graph.n, edges), h.role_array(), phi, length
+            )
+            bad_twin = LabelledForest(
+                EdgeColouredGraph.make(
+                    h.graph.n, [(u, w, Colour(c)) for u, w, c in edges.tolist()]
+                ),
+                twin.roles,
+                tuple(phi.tolist()),
+                length,
+            )
+            found = homomorphism_violation(bad)
+            assert found is not None and found == homomorphism_violation(bad_twin)
+            assert [type(x) for x in found] == [int, int, Colour]
+            assert "edges" not in vars(bad.graph)
 
 
 class TestRecomputePhi:

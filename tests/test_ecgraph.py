@@ -229,3 +229,32 @@ def test_edge_array():
     assert g.edge_array() is arr
     assert not arr.flags.writeable
     assert EdgeColouredGraph.make(2, []).edge_array().shape == (0, 3)
+
+
+class TestFromEdgeArray:
+    def test_equals_and_hashes_like_make(self):
+        rng = random.Random(424)
+        for n in range(0, 9):
+            edges = list(random_graph(rng, n).edges)
+            rng.shuffle(edges)
+            made = EdgeColouredGraph.make(n, edges)
+            g = EdgeColouredGraph.from_edge_array(n, np.array(edges, dtype=np.int64).reshape(-1, 3))
+            assert g.edge_array().tolist() == made.edge_array().tolist()
+            assert not g.edge_array().flags.writeable
+            assert g.num_edges() == made.num_edges()
+            assert g.num_edges(RED) == made.num_edges(RED)
+            assert "edges" not in vars(g)
+            assert g == made and hash(g) == hash(made)
+            assert g.edges == made.edges
+            assert all(type(c) is Colour and type(u) is int for u, _, c in g.edges)
+            assert validate(g) is None
+
+    def test_rejects_a_colour_outside_red_and_blue(self):
+        with pytest.raises(ValueError, match="edge colours"):
+            EdgeColouredGraph.from_edge_array(3, np.array([[0, 1, 2]]))
+
+    def test_missing_attributes_still_raise(self):
+        g = EdgeColouredGraph.from_edge_array(2, np.array([[0, 1, 0]]))
+        with pytest.raises(AttributeError):
+            g.no_such_attribute
+        assert not hasattr(TRIANGLE, "no_such_attribute")
