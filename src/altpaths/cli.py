@@ -196,21 +196,32 @@ def cmd_bound_check(args) -> int:
     return EXIT_PASS if ok else EXIT_CHECK_FAILED
 
 
+def _rational(value, what: str) -> Fraction:
+    """A finite rational from a JSON number or a string such as "3/4"."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"{what} {value!r} in extra row is not a finite rational") from None
+
+
 def _load_extra_rows(path: str, k: int) -> list[lpsearch.LpRow]:
     names = lpsearch.variable_names(k)
     index = {name: i for i, name in enumerate(names)}
     with open(path, "r", encoding="ascii") as fh:
         data = json.load(fh)
+    if not isinstance(data, list) or not all(isinstance(entry, dict) for entry in data):
+        raise ValueError("extra rows must be a JSON list of objects")
     rows = []
     for entry in data:
+        if not isinstance(entry.get("coeffs"), dict):
+            raise ValueError(f"extra row {entry!r} has no 'coeffs' object")
         coeffs = [Fraction(0)] * len(names)
         for name, value in entry["coeffs"].items():
             if name not in index:
                 raise ValueError(f"unknown variable {name!r} in extra row")
-            coeffs[index[name]] = Fraction(value)
-        rows.append(
-            lpsearch.LpRow(tuple(coeffs), entry.get("relation", "="), Fraction(entry.get("rhs", 0)))
-        )
+            coeffs[index[name]] = _rational(value, f"coefficient of {name}")
+        rhs = _rational(entry.get("rhs", 0), "rhs")
+        rows.append(lpsearch.LpRow(tuple(coeffs), entry.get("relation", "="), rhs))
     return rows
 
 

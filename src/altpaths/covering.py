@@ -251,8 +251,8 @@ class CoveringReport:
 
 
 # "auto" materialises forests up to this many edges.  The array build would
-# reach further, but the method it picks is part of the ``--json`` report,
-# so the cap stays (see ``constructions._MATERIALISE_EDGES``).
+# reach further, but the method it picks is printed on each ``verify-covering``
+# text line (not in ``--json``), so the cap stays (``constructions._MATERIALISE_EDGES``).
 _MATERIALISE_CAP = 2_000_000
 _ARRAYS_CAP = 500_000_000
 

@@ -111,14 +111,9 @@ class EdgeColouredGraph:
     # -- derived accessors ------------------------------------------------
 
     def num_edges(self, colour: Optional[Colour] = None) -> int:
-        """Edge count, of one colour if given; read from the edge array of
-        an array-built graph, without making its tuple."""
-        arr = self.__dict__.get("_edge_arr")
-        if arr is not None:
-            return len(arr) if colour is None else int(np.count_nonzero(arr[:, 2] == colour))
-        if colour is None:
-            return len(self.edges)
-        return sum(1 for _, _, c in self.edges if c == colour)
+        """Edge count, of one colour if given, read from ``edge_array()``."""
+        arr = self.edge_array()
+        return len(arr) if colour is None else int(np.count_nonzero(arr[:, 2] == colour))
 
     def adjacency(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """Per-vertex neighbour lists, partitioned by colour, built lazily.
@@ -269,6 +264,8 @@ def pair_count(n: int) -> int:
 
 def host_count(n: int) -> int:
     """Number of edge-coloured graphs on n labelled vertices: 3^(n(n-1)/2)."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
     return 3 ** pair_count(n)
 
 

@@ -22,12 +22,11 @@ from .ecgraph import (
     RED,
     BudgetExceeded,
     EdgeColouredGraph,
-    circulant_host,
     host_count,
     host_from_index,
     symmetric_residues,
 )
-from .homcount import hom, hom_forest, is_forest
+from .homcount import density, hom_forest, is_forest
 
 
 def digits(n: int) -> str:
@@ -103,7 +102,8 @@ def check_inequalities(
     scale = None   # bound_odd(k)^(e_h-e_p), the same for every host
     reports = []
     for g in hosts:
-        t_p = Fraction(hom_forest(spine, g), g.n ** spine.n)
+        t_p = density(spine, g)
+        # Not density(): H must be a forest, and hom() would brute-force a cyclic H.
         t_h = Fraction(hom_forest(h.graph, g), g.n ** h.graph.n)
         t_h_e_p = t_h**e_p
         if scale is None:
@@ -125,14 +125,12 @@ def check_eq_hp(h: LabelledForest, k: int, g: EdgeColouredGraph) -> InequalityRe
 
 
 def check_theorem_odd(k: int, g: EdgeColouredGraph) -> InequalityReport:
-    spine = alternating_path(2 * k + 1)
-    t_p = Fraction(hom_forest(spine, g), g.n ** spine.n)
+    t_p = density(alternating_path(2 * k + 1), g)
     return InequalityReport("theorem-odd", k, g.canonical_key(), t_p, bound_odd(k))
 
 
 def check_theorem_even(k: int, g: EdgeColouredGraph) -> InequalityReport:
-    spine = alternating_path(2 * k)
-    t_p = Fraction(hom_forest(spine, g), g.n ** spine.n)
+    t_p = density(alternating_path(2 * k), g)
     return InequalityReport("theorem-even", k, g.canonical_key(), t_p, bound_even(k))
 
 
@@ -159,16 +157,16 @@ class TightnessPoint:
 def tightness_curve(k: int, n_list: Sequence[int]) -> list[TightnessPoint]:
     """Exact odd-path densities on the best circulant of each size.
 
-    A circulant's density depends only on its red degree d, through
-    d^(k+1) (n-1-d)^k / n^(2k+1), which is unimodal in d with real optimum
-    (k+1)(n-1)/(2k+1).  The admissible degrees (those with a negation-closed
-    residue set: any degree on even n, even degrees on odd n) nearest that
-    optimum on each side are both counted exactly, and the one of larger
-    density is kept, the lower on a tie.  An n admitting neither is reported
-    and skipped.
+    Every vertex of a circulant of red degree d starts d^(k+1) (n-1-d)^k
+    alternating walks, so its density d^(k+1) (n-1-d)^k / n^(2k+1) is read
+    off that closed form, with no host built; it is unimodal in d with real
+    optimum (k+1)(n-1)/(2k+1).  The admissible degrees (those with a
+    negation-closed residue set: any degree on even n, even degrees on odd n)
+    nearest that optimum on each side are both evaluated, and the one of
+    larger density is kept, the lower on a tie.  An n admitting neither is
+    reported and skipped.
     """
     bound = bound_odd(k)
-    spine = alternating_path(2 * k + 1)
     points = []
     for n in n_list:
         optimum = Fraction((k + 1) * (n - 1), 2 * k + 1)
@@ -179,11 +177,9 @@ def tightness_curve(k: int, n_list: Sequence[int]) -> list[TightnessPoint]:
             above += 1
         best = None
         for degree in sorted({below, above}):
-            residues = symmetric_residues(n, degree)
-            if residues is None:
+            if symmetric_residues(n, degree) is None:
                 continue
-            g = circulant_host(n, residues)
-            t = Fraction(hom_forest(spine, g), n**spine.n)
+            t = Fraction(degree ** (k + 1) * (n - 1 - degree) ** k, n ** (2 * k + 1))
             if best is None or t > best[1]:
                 best = (degree, t)
         if best is None:
@@ -234,7 +230,6 @@ def exhaustive_max(
     if not is_forest(pattern):
         raise ValueError("exhaustive search is implemented for forest patterns")
     total = host_count(n)
-    denom = n**pattern.n
     if total <= budget:
         chunk_count = max(1, min(workers, total))
         bounds = [total * i // chunk_count for i in range(chunk_count + 1)]
@@ -252,9 +247,8 @@ def exhaustive_max(
         for value, index in results:       # chunk order fixes the tie-break
             if value > best_hom:
                 best_hom, best_index = value, index
-        return MaxResult(
-            Fraction(best_hom, denom), host_from_index(n, best_index), True, best_index
-        )
+        best_host = host_from_index(n, best_index)
+        return MaxResult(density(pattern, best_host), best_host, True, best_index)
     if not heuristic:
         raise BudgetExceeded(
             f"{total} hosts exceed budget {budget}; pass heuristic=True for local search",
@@ -293,7 +287,7 @@ def exhaustive_max(
         if current > best_hom:
             best_hom = current
             best_host = EdgeColouredGraph.from_pairs(n, pairs)
-    return MaxResult(Fraction(best_hom, denom), best_host, False, None)
+    return MaxResult(density(pattern, best_host), best_host, False, None)
 
 
 # -- the algebraic expansion identity ----------------------------------------

@@ -279,6 +279,26 @@ class TestErrorPaths:
             main(["construct", "--nonsense"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("command, extra", [
+        ("verify-ineq --k 1 --hosts exhaustive --n 0", None),
+        ("verify-ineq --k 1 --hosts exhaustive --n -1", None),
+        ("bound-check --pattern-k 1 --odd --exhaustive 0", None),
+        ("bound-check --pattern-k 1 --odd --exhaustive -1", None),
+        ("lp-search --k 1", '[{}]'),
+        ("lp-search --k 1", '[1]'),
+        ("lp-search --k 1", '{"coeffs": {}}'),
+        ("lp-search --k 1", '[{"coeffs": {"x1": "1"}, "rhs": "1/0"}]'),
+    ])
+    def test_bad_input_exits_2(self, tmp_path, capsys, command, extra):
+        argv = command.split()
+        if extra is not None:
+            path = tmp_path / "extra.json"
+            path.write_text(extra)
+            argv += ["--extra", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_installed_entry_point(self, tmp_path):
         # The child imports the package from where this process found it, so
         # the test also runs from a checkout without an install.

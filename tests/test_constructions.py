@@ -492,6 +492,15 @@ class TestSidecar:
         with pytest.raises(ValueError, match="missing role"):
             parse_roles(text, f.graph)
 
+    def test_unknown_role_rejected(self):
+        # role_array would code the role -1 and recompute_phi would treat
+        # the vertex as unpinned.
+        f = fixture("H3_small")
+        lines = format_roles(f).splitlines()
+        lines[0] = "v 0 foo 0 0"
+        with pytest.raises(ValueError, match="unknown role 'foo'"):
+            parse_roles("\n".join(lines) + "\n", f.graph)
+
 
 def test_sequence_triple_validation():
     with pytest.raises(ValueError, match="symmetric"):

@@ -163,6 +163,14 @@ class TestEnumerateHosts:
         with pytest.raises(ValueError):
             list(enumerate_hosts(2, 0, 99))
 
+    def test_negative_vertex_count_refused(self):
+        # The decoder marks its hosts valid without validate, which would
+        # refuse n < 0; the host count has to refuse it instead.
+        with pytest.raises(ValueError, match="nonnegative"):
+            host_from_index(-1, 0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            list(enumerate_hosts(-1))
+
 
 class TestRequireValid:
     BAD = EdgeColouredGraph(3, ((0, 1, RED), (0, 1, BLUE)))

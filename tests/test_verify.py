@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from altpaths import verify
 from altpaths.constructions import alternating_path, build_h_odd, fixture
 from altpaths.ecgraph import (
     BLUE,
@@ -164,14 +165,30 @@ class TestTightness:
                 assert pt.gap == bound_odd(k) - pt.density
 
     def test_recount_on_circulant_host(self):
-        # Odd n where the optimum's lower admissible neighbour loses.
-        for k, n, degree in [(1, 9, 6), (1, 45, 30), (2, 13, 8), (2, 23, 14), (3, 7, 4)]:
+        # The curve reads its densities off the closed form; recount them on
+        # the built circulant.  Odd n where the optimum's lower admissible
+        # neighbour loses, and two even n where every degree is admissible.
+        for k, n, degree in [
+            (1, 9, 6), (1, 45, 30), (2, 13, 8), (2, 23, 14), (3, 7, 4), (1, 6, 3), (1, 30, 19)
+        ]:
             (pt,) = tightness_curve(k, [n])
             assert pt.red_degree == degree
             g = circulant_host(n, symmetric_residues(n, degree))
             count = hom_forest(alternating_path(2 * k + 1), g)
             assert count == n * degree ** (k + 1) * (n - 1 - degree) ** k
             assert pt.density == Fraction(count, n ** (2 * k + 2))
+
+    def test_tightness_builds_no_host(self, monkeypatch):
+        # n = 20000 would need a 200-million-edge circulant.
+        def refuse(*args):
+            raise AssertionError("tightness_curve built a circulant host")
+
+        monkeypatch.setattr(verify, "circulant_host", refuse, raising=False)
+        points = tightness_curve(1, [6, 9, 20000])
+        assert [(pt.n, pt.red_degree) for pt in points] == [(6, 3), (9, 6), (20000, 13333)]
+        for pt in points:
+            d = pt.red_degree
+            assert pt.density == Fraction(d**2 * (pt.n - 1 - d), pt.n**3)
 
     def test_loopless_ceiling_against_exhaustive_max(self):
         maxima = {n: exhaustive_max(alternating_path(3), n).density for n in (3, 4, 5)}
