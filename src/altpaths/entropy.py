@@ -10,16 +10,17 @@ of path homomorphisms, its single/pairwise spine marginals (computed by a
 forward/backward walk count, no enumeration needed), the glued
 distribution that extends a random spine homomorphism over a decorated
 forest one conditionally-independent vertex at a time, and the closed-form
-entropy of that gluing.  The gluing carries each state as a tuple of images
-with one integer weight over a common denominator; the ``Fraction``
-probabilities are formed once, one per outcome, at the end.
+entropy of that gluing.  The gluing counts its states before it builds
+any, carries each state as a tuple of images with one integer weight over a
+common denominator, and forms ``Fraction`` probabilities only when they are
+read.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import itemgetter
+from operator import countOf, itemgetter
 from typing import Hashable, Iterable, Mapping, Optional
 
 from .constructions import LabelledForest, homomorphism_violation
@@ -34,7 +35,14 @@ class EmptySupport(ValueError):
 
 
 class DiscreteDistribution:
-    """Finite outcome -> exact-rational-probability map summing to one."""
+    """Finite outcome -> exact-rational-probability map summing to one.
+
+    A distribution built by ``from_weights`` keeps its integer weights and
+    their denominator and forms the ``Fraction`` map on the first read that
+    needs it; outcomes, support, length and entropy come from the weights.
+    """
+
+    _denominator: Optional[int] = None      # set by from_weights only
 
     def __init__(self, prob: Mapping[Hashable, Fraction | int]):
         cleaned = {}
@@ -47,35 +55,45 @@ class DiscreteDistribution:
             cleaned[outcome] = p
         if total != 1:
             raise ValueError(f"probabilities sum to {total}, not 1")
-        self._prob = cleaned
+        self._prob = self._mass = cleaned
 
     @classmethod
     def from_weights(
         cls, weights: Mapping[Hashable, int], denominator: int
     ) -> "DiscreteDistribution":
         """Outcome -> w / denominator, for nonnegative integer weights that
-        sum to the denominator; checked in integers, then one ``Fraction``
-        per outcome, in the mapping's order."""
+        sum to the denominator; checked in integers, in the mapping's order."""
         if not isinstance(denominator, int) or denominator <= 0:
             raise ValueError(f"denominator {denominator!r} is not a positive integer")
-        for outcome, w in weights.items():
+        for w in weights.values():
             if not isinstance(w, int) or w < 0:
+                outcome = next(o for o, x in weights.items() if x is w)
                 raise ValueError(f"weight {w!r} for {outcome!r} is not a nonnegative integer")
         total = sum(weights.values())
         if total != denominator:
             raise ValueError(f"weights sum to {total}, not the denominator {denominator}")
         d = cls.__new__(cls)
-        d._prob = {o: Fraction(w, denominator) for o, w in weights.items()}
+        d._mass = dict(weights)
+        d._denominator = denominator
         return d
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute missing from the instance: the
+        # Fraction map of a weight-built distribution before its first read.
+        if name != "_prob" or self._denominator is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        den = self._denominator
+        self._prob = {o: Fraction(w, den) for o, w in self._mass.items()}
+        return self._prob
 
     def probability(self, outcome) -> Fraction:
         return self._prob.get(outcome, Fraction(0))
 
     def outcomes(self):
-        return self._prob.keys()
+        return self._mass.keys()
 
     def support(self) -> list:
-        return [o for o, p in self._prob.items() if p > 0]
+        return [o for o, p in self._mass.items() if p > 0]
 
     def items(self):
         return self._prob.items()
@@ -97,7 +115,7 @@ class DiscreteDistribution:
         return mine == theirs
 
     def __len__(self) -> int:
-        return len(self.support())
+        return len(self._mass) - countOf(self._mass.values(), 0)
 
 
 def uniform(outcomes: Iterable[Hashable]) -> DiscreteDistribution:
@@ -109,17 +127,36 @@ def uniform(outcomes: Iterable[Hashable]) -> DiscreteDistribution:
 
 
 def entropy(d: DiscreteDistribution) -> float:
-    """Shannon entropy in bits; 0 log 0 handled by summing the support."""
-    return _entropy_of(d._prob.values())
+    """Shannon entropy in bits; 0 log 0 handled by summing the support.
+
+    On a weight-built distribution each term takes n = w/g and d = D/g with
+    g = gcd(w, D), the pair Fraction(w, D).as_integer_ratio() gives, so the
+    float is the one the Fraction map would give.
+    """
+    den = d._denominator
+    if den is None:
+        return _entropy_of(d._prob.values())
+    return _entropy_of_ratios(_lowest_terms(d._mass.values(), den))
 
 
 def _entropy_of(probs: Iterable[Fraction]) -> float:
-    """-sum of float(p) * (log2(numerator) - log2(denominator)) over the
-    positive p, in order."""
+    return _entropy_of_ratios(map(Fraction.as_integer_ratio, probs))
+
+
+def _lowest_terms(weights: Iterable[int], den: int):
+    """(w/g, den/g) with g = gcd(w, den), for each positive weight w."""
+    gcd = math.gcd
+    for w in weights:
+        if w:
+            g = gcd(w, den)
+            yield w // g, den // g
+
+
+def _entropy_of_ratios(ratios: Iterable[tuple[int, int]]) -> float:
+    """-sum of n/d * (log2(n) - log2(d)) over the (numerator, denominator)
+    pairs with n > 0, in order."""
     log2 = math.log2
-    return -sum(
-        n / d * (log2(n) - log2(d)) for n, d in map(Fraction.as_integer_ratio, probs) if n > 0
-    )
+    return -sum(n / d * (log2(n) - log2(d)) for n, d in ratios if n > 0)
 
 
 def conditional_entropy(joint: DiscreteDistribution) -> float:
@@ -319,6 +356,69 @@ def _weight_factors(marg: PathMarginals, child_spine: int, parent_spine: int):
     return rows, lcm
 
 
+def _state_counts(
+    h: LabelledForest,
+    marg: PathMarginals,
+    orders: list,
+    factors: dict,
+    guard: int,
+) -> list[int]:
+    """The number of states of each component, counted without building one.
+
+    Raises BudgetExceeded where building would: at the first breadth-first
+    prefix whose state count times the states of the earlier components
+    passes the guard, or after a component whose product does.  The count
+    of a prefix is a tree count over the conditional supports: table[i][a]
+    is the number of extensions of the subtree of order[i] added so far
+    with order[i] at a, the product over its children c of
+    share[c][a] = sum of table[c][b] over the b that row a allows.
+    """
+    widths = {
+        step: {a: len(row) for a, row in rows.items()} for step, (rows, _) in factors.items()
+    }
+    targets = {
+        step: {a: [b for b, _ in row] for a, row in rows.items()}
+        for step, (rows, _) in factors.items()
+    }
+    counts = []
+    total_states = 1
+    for order in orders:
+        position = {v: i for i, (v, _) in enumerate(order)}
+        tables = [dict.fromkeys(marg.single_counts[h.phi[order[0][0]]], 1)]
+        up = [None]           # per position: (parent position, targets, share)
+        count = len(tables[0])
+        for v, parent in order[1:]:
+            step = h.phi[v], h.phi[parent]
+            share = widths[step]
+            tables.append(dict.fromkeys(marg.single_counts[h.phi[v]], 1))
+            up.append((position[parent], targets[step], share))
+            if any(s != 1 for s in share.values()):
+                # The parent's table grows by this vertex's share; carry
+                # the change up to the root, re-summing each ancestor's share.
+                at = position[parent]
+                table = tables[at]
+                for a, s in share.items():
+                    table[a] *= s
+                while at:
+                    above, rows, old = up[at]
+                    new = {a: sum(map(table.__getitem__, row)) for a, row in rows.items()}
+                    up[at] = above, rows, new
+                    table = tables[above]
+                    for a, s in new.items():
+                        table[a] = table[a] // old[a] * s
+                    at = above
+                count = sum(table.values())
+            if count * total_states > guard:
+                raise BudgetExceeded(
+                    f"glued support exceeds guard {guard}", required=count * total_states
+                )
+        counts.append(count)
+        total_states *= count
+        if total_states > guard:
+            raise BudgetExceeded(f"glued support exceeds guard {guard}", required=total_states)
+    return counts
+
+
 def glued_distribution(
     h: LabelledForest,
     p: EdgeColouredGraph,
@@ -337,7 +437,8 @@ def glued_distribution(
     below a parent at a multiplies the weight by count(a, b) * (L // s(a))
     and the denominator by L, where s are the single counts at the parent's
     spine image and L is their lcm, so every weight shares one denominator.
-    The guard is checked after every vertex and every component.
+    The guard is checked against the counted states after every vertex and
+    every component (``_state_counts``) before any state is built.
     """
     bad = homomorphism_violation(h)
     if bad is not None:
@@ -349,10 +450,10 @@ def glued_distribution(
     orders = _forest_bfs_orders(h)
     spine_steps = {(h.phi[v], h.phi[u]) for order in orders for v, u in order[1:]}
     factors = {step: _weight_factors(marg, *step) for step in spine_steps}
+    counts = _state_counts(h, marg, orders, factors, guard)
     component_supports = []
     denominator = 1
-    total_states = 1
-    for order in orders:
+    for order, count in zip(orders, counts):
         position = {v: i for i, (v, _) in enumerate(order)}
         root = order[0][0]
         states = [((w,), cnt) for w, cnt in marg.single_counts[h.phi[root]].items()]
@@ -366,17 +467,9 @@ def glued_distribution(
                 for b, f in rows[images[at]]
             ]
             denominator *= lcm
-            if len(states) * total_states > guard:
-                raise BudgetExceeded(
-                    f"glued support exceeds guard {guard}",
-                    required=len(states) * total_states,
-                )
+        if len(states) != count:
+            raise ArithmeticError(f"built {len(states)} component states, the tree count is {count}")
         component_supports.append(states)
-        total_states *= len(states)
-        if total_states > guard:
-            raise BudgetExceeded(
-                f"glued support exceeds guard {guard}", required=total_states
-            )
 
     full: list[tuple[tuple, int]] = [((), 1)]
     for states in component_supports:

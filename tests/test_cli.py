@@ -266,6 +266,13 @@ class TestEntropyCheck:
         assert main(["entropy-check", "--fixture", "H3_small", "--host", str(host)]) == 0
         assert "nothing to check" in capsys.readouterr().out
 
+    def test_h5_refused_at_the_default_budget(self, tmp_path, capsys):
+        # About 7.6e22 glued states: refused from the count, not built.
+        host = tmp_path / "h44.ecg"
+        write_ecg(host_from_index(4, 44), host)
+        assert main(["entropy-check", "--fixture", "H5", "--host", str(host)]) == 0
+        assert "glued distribution skipped" in capsys.readouterr().out
+
 
 class TestErrorPaths:
     def test_malformed_ecg_exit_code(self, tmp_path):

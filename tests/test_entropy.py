@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -122,6 +123,48 @@ class TestFromWeights:
     def test_rejections(self, weights, denominator, fragment):
         with pytest.raises(ValueError, match=fragment):
             DiscreteDistribution.from_weights(weights, denominator)
+
+    @pytest.mark.parametrize("case", ["random", "zeros", "single", "huge"])
+    def test_entropy_from_weights_bit_for_bit(self, case):
+        rng = random.Random(case)
+        for _ in range(100):
+            if case == "single":
+                den = rng.randint(1, 2**64)
+                weights = {"only": den}
+            else:
+                size = rng.randint(1, 9)
+                top = 2**1100 if case == "huge" else 50
+                weights = {o: rng.randint(0, top) for o in range(size)}
+                if case == "zeros":
+                    weights.update({("zero", o): 0 for o in range(rng.randint(1, 4))})
+                den = sum(weights.values())
+                if den == 0:
+                    continue
+                if case == "huge":
+                    assert den > 2**1000
+            d = DiscreteDistribution.from_weights(weights, den)
+            twin = DiscreteDistribution({o: Fraction(w, den) for o, w in weights.items()})
+            assert entropy(d) == entropy(twin)
+
+    def test_weight_reads_leave_the_fraction_map_unbuilt(self):
+        weights = {(0, 1): 3, (1, 0): 0, (1, 1): 5, (2, 2): 4}
+        d = DiscreteDistribution.from_weights(weights, 12)
+        twin = DiscreteDistribution({o: Fraction(w, 12) for o, w in weights.items()})
+        assert list(d.outcomes()) == list(twin.outcomes())
+        assert len(d) == len(twin) == 3
+        assert d.support() == twin.support()
+        assert entropy(d) == entropy(twin)
+        assert "_prob" not in vars(d)
+        assert list(d.items()) == list(twin.items())
+        assert "_prob" in vars(d)
+        assert d == twin and d.marginal([0]) == twin.marginal([0])
+        assert d.probability((1, 1)) == Fraction(5, 12)
+
+    def test_weights_are_copied(self):
+        weights = {0: 1, 1: 1}
+        d = DiscreteDistribution.from_weights(weights, 2)
+        weights[0] = 7
+        assert dict(d.items()) == {0: Fraction(1, 2), 1: Fraction(1, 2)}
 
 
 class TestConditionalEntropy:
@@ -434,6 +477,65 @@ class TestGluedAgainstOracle:
             for g in (TRIANGLE, C4, host):
                 _check_against_oracle(h, g, 3_000, outcomes)
         assert outcomes == {"glued", "refused", "empty"}
+
+    # Guards from 1 to past the largest H3_large support, so that the
+    # refusal falls on many different breadth-first prefixes.
+    GUARD_LADDER = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1_000, 2_000, 5_000, 10_000, 20_000, 30_000)
+
+    def test_every_prefix_refusal_on_fixtures(self):
+        # Hosts 44 and 268 glue H3_large into 23,328 states, 156 and 412
+        # into 16,384; H5 is refused at a different prefix on each class.
+        outcomes = set()
+        for name in ("H3_small", "H3_large", "H5"):
+            h = fixture(name)
+            for index in (44, 156, 268, 412):
+                g = host_from_index(4, index)
+                for guard in self.GUARD_LADDER:
+                    _check_against_oracle(h, g, guard, outcomes)
+        assert outcomes == {"glued", "refused"}
+
+    def test_every_prefix_refusal_on_random_triples(self):
+        rng = random.Random(77)
+        outcomes = set()
+        for _ in range(4):
+            s = random_triple(rng)
+            h = materialise(2 * s.k + 1, plan_odd(s.k, s))
+            spine = alternating_path(h.spine_edges)
+            host = random_graph(rng, rng.randint(3, 5))
+            while not hom_forest(spine, host):
+                host = random_graph(rng, rng.randint(3, 5))
+            for g in (C4, host):
+                for guard in self.GUARD_LADDER[:12]:
+                    _check_against_oracle(h, g, guard, outcomes)
+        assert "refused" in outcomes
+
+    def test_every_prefix_refusal_on_a_later_component(self):
+        # Two copies of the 3-edge spine: the second component's prefixes
+        # are checked against the first component's full state count.
+        edges = [(i, i + 1, c) for i, (_, _, c) in enumerate(alternating_path(3).edges)]
+        graph = EdgeColouredGraph.make(8, edges + [(u + 4, v + 4, c) for u, v, c in edges])
+        roles = tuple(("spine", i) for i in range(4)) + tuple(("aux", i) for i in range(4))
+        h = LabelledForest(graph, roles, (0, 1, 2, 3) * 2, 3)
+        outcomes = set()
+        for index in (44, 156, 268, 412):
+            for guard in self.GUARD_LADDER:
+                _check_against_oracle(h, host_from_index(4, index), guard, outcomes)
+        assert outcomes == {"glued", "refused"}
+
+
+def test_oversized_gluing_refused_without_building():
+    # H5 on host 44 of n = 4 has about 7.6e22 glued states; the default
+    # budget is refused from the state count, before any state is built.
+    g = host_from_index(4, 44)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as err:
+            glued_distribution(fixture("H5"), alternating_path(5), g, guard=10**8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.required > 10**8
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("measure", [closed_form_entropy, glued_distribution])
