@@ -280,7 +280,9 @@ def cmd_entropy_check(args) -> int:
     )
     glued_ok = None
     try:
-        glued = entropy.glued_distribution(forest, spine, host, guard=args.budget)
+        glued = entropy.glued_distribution(
+            forest, spine, host, guard=min(args.budget, entropy.ENUM_GUARD)
+        )
         glued_entropy = entropy.entropy(glued)
         glued_ok = abs(glued_entropy - closed) <= 1e-9
         print(f"glued entropy {glued_entropy:.12f} -> {'ok' if glued_ok else 'MISMATCH'}")

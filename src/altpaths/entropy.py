@@ -1,9 +1,9 @@
 """Discrete entropy engine over exact rational distributions.
 
-Probabilities are exact ``Fraction`` values end to end; only the final
-log2 evaluations are floating point, so identities between entropy
-expressions hold to log-evaluation accuracy (~1e-12 per term) rather than
-accumulating distributional round-off.
+A distribution is integer weights over one denominator, so probabilities
+are exact end to end; only the final log2 evaluations are floating point,
+so identities between entropy expressions hold to log-evaluation accuracy
+(~1e-12 per term) rather than accumulating distributional round-off.
 
 The homomorphism-specific machinery: the uniform distribution on the set
 of path homomorphisms, its single/pairwise spine marginals (computed by a
@@ -11,9 +11,7 @@ forward/backward walk count, no enumeration needed), the glued
 distribution that extends a random spine homomorphism over a decorated
 forest one conditionally-independent vertex at a time, and the closed-form
 entropy of that gluing.  The gluing counts its states before it builds
-any, carries each state as a tuple of images with one integer weight over a
-common denominator, and forms ``Fraction`` probabilities only when they are
-read.
+any and carries each state as a tuple of images with one integer weight.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from .constructions import LabelledForest, homomorphism_violation
 from .ecgraph import BudgetExceeded, EdgeColouredGraph, require_valid
 from .homcount import forest_orders, rooted_tables
 
-ENUM_GUARD = 10**7
+ENUM_GUARD = 10**6
 
 
 class EmptySupport(ValueError):
@@ -37,12 +35,10 @@ class EmptySupport(ValueError):
 class DiscreteDistribution:
     """Finite outcome -> exact-rational-probability map summing to one.
 
-    A distribution built by ``from_weights`` keeps its integer weights and
-    their denominator and forms the ``Fraction`` map on the first read that
-    needs it; outcomes, support, length and entropy come from the weights.
+    Held as integer weights over one positive denominator: outcome o has
+    probability _mass[o] / _denominator.  Outcomes, support, length,
+    marginals, equality and entropy are read from the weights.
     """
-
-    _denominator: Optional[int] = None      # set by from_weights only
 
     def __init__(self, prob: Mapping[Hashable, Fraction | int]):
         cleaned = {}
@@ -55,7 +51,9 @@ class DiscreteDistribution:
             cleaned[outcome] = p
         if total != 1:
             raise ValueError(f"probabilities sum to {total}, not 1")
-        self._prob = self._mass = cleaned
+        den = math.lcm(*(p.denominator for p in cleaned.values()))
+        self._mass = {o: p.numerator * (den // p.denominator) for o, p in cleaned.items()}
+        self._denominator = den
 
     @classmethod
     def from_weights(
@@ -77,41 +75,32 @@ class DiscreteDistribution:
         d._denominator = denominator
         return d
 
-    def __getattr__(self, name: str):
-        # Reached only for an attribute missing from the instance: the
-        # Fraction map of a weight-built distribution before its first read.
-        if name != "_prob" or self._denominator is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        den = self._denominator
-        self._prob = {o: Fraction(w, den) for o, w in self._mass.items()}
-        return self._prob
-
     def probability(self, outcome) -> Fraction:
-        return self._prob.get(outcome, Fraction(0))
+        return Fraction(self._mass.get(outcome, 0), self._denominator)
 
     def outcomes(self):
         return self._mass.keys()
 
     def support(self) -> list:
-        return [o for o, p in self._mass.items() if p > 0]
+        return [o for o, w in self._mass.items() if w]
 
     def items(self):
-        return self._prob.items()
+        return [(o, Fraction(w, self._denominator)) for o, w in self._mass.items()]
 
     def marginal(self, indices: Iterable[int]) -> "DiscreteDistribution":
         """Marginal over the given coordinate positions of tuple outcomes."""
         idx = tuple(indices)
         out: dict = {}
-        for outcome, p in self._prob.items():
+        for outcome, w in self._mass.items():
             key = tuple(outcome[i] for i in idx)
-            out[key] = out.get(key, Fraction(0)) + p
-        return DiscreteDistribution(out)
+            out[key] = out.get(key, 0) + w
+        return DiscreteDistribution.from_weights(out, self._denominator)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiscreteDistribution):
             return NotImplemented
-        mine = {o: p for o, p in self._prob.items() if p > 0}
-        theirs = {o: p for o, p in other._prob.items() if p > 0}
+        mine = {o: w * other._denominator for o, w in self._mass.items() if w}
+        theirs = {o: w * self._denominator for o, w in other._mass.items() if w}
         return mine == theirs
 
     def __len__(self) -> int:
@@ -122,25 +111,17 @@ def uniform(outcomes: Iterable[Hashable]) -> DiscreteDistribution:
     pool = list(outcomes)
     if not pool:
         raise EmptySupport("cannot build a uniform distribution on nothing")
-    p = Fraction(1, len(pool))
-    return DiscreteDistribution({o: p for o in pool})
+    return DiscreteDistribution.from_weights(dict.fromkeys(pool, 1), len(pool))
 
 
 def entropy(d: DiscreteDistribution) -> float:
     """Shannon entropy in bits; 0 log 0 handled by summing the support.
 
-    On a weight-built distribution each term takes n = w/g and d = D/g with
-    g = gcd(w, D), the pair Fraction(w, D).as_integer_ratio() gives, so the
-    float is the one the Fraction map would give.
+    Each term takes n = w/g and d = D/g with g = gcd(w, D), the pair
+    Fraction(w, D).as_integer_ratio() gives, so the float is the one the
+    defining sum over exact probabilities gives.
     """
-    den = d._denominator
-    if den is None:
-        return _entropy_of(d._prob.values())
-    return _entropy_of_ratios(_lowest_terms(d._mass.values(), den))
-
-
-def _entropy_of(probs: Iterable[Fraction]) -> float:
-    return _entropy_of_ratios(map(Fraction.as_integer_ratio, probs))
+    return _entropy_of_ratios(_lowest_terms(d._mass.values(), d._denominator))
 
 
 def _lowest_terms(weights: Iterable[int], den: int):
@@ -159,6 +140,19 @@ def _entropy_of_ratios(ratios: Iterable[tuple[int, int]]) -> float:
     return -sum(n / d * (log2(n) - log2(d)) for n, d in ratios if n > 0)
 
 
+def _conditional_rows(counts: Mapping[Hashable, Mapping[Hashable, int]]):
+    """({a: [(b, c * (L // t(a)))]}, L) for counts {a: {b: c}}, with t(a)
+    the total of row a and L the lcm of the totals: the law of b given a,
+    as integers over one denominator L."""
+    totals = {a: sum(row.values()) for a, row in counts.items()}
+    lcm = math.lcm(*totals.values())
+    rows = {
+        a: [(b, c * (lcm // totals[a])) for b, c in row.items()]
+        for a, row in counts.items()
+    }
+    return rows, lcm
+
+
 def conditional_entropy(joint: DiscreteDistribution) -> float:
     """H(X | Y) for a joint over (x, y) pairs, by its defining average.
 
@@ -166,15 +160,16 @@ def conditional_entropy(joint: DiscreteDistribution) -> float:
     self-check on every call.
     """
     by_y: dict = {}
-    for (x, y), p in joint.items():
-        if p > 0:
-            by_y.setdefault(y, {})[x] = p
+    for (x, y), w in joint._mass.items():
+        if w:
+            by_y.setdefault(y, {})[x] = w
+    den = joint._denominator
+    totals = [sum(slice_.values()) for slice_ in by_y.values()]
     value = 0.0
-    for y, slice_ in by_y.items():
-        p_y = sum(slice_.values())
-        value += float(p_y) * _entropy_of(p / p_y for p in slice_.values())
+    for slice_, w_y in zip(by_y.values(), totals):
+        value += w_y / den * _entropy_of_ratios(_lowest_terms(slice_.values(), w_y))
     h_joint = entropy(joint)
-    h_y = _entropy_of(sum(s.values()) for s in by_y.values())
+    h_y = _entropy_of_ratios(_lowest_terms(totals, den))
     if abs(value - (h_joint - h_y)) > 1e-12 * max(1.0, abs(h_joint)):
         raise ArithmeticError("chain-rule self-check failed in conditional_entropy")
     return value
@@ -190,21 +185,18 @@ def glue(joint: DiscreteDistribution) -> DiscreteDistribution:
     """
     if joint.marginal([1]) != joint.marginal([2]):
         raise ValueError("glueing requires identically distributed b1 and b2")
-    b2_totals: dict = {}
     c_given_b2: dict = {}
-    for (_, _, b2, c), p in joint.items():
-        if p > 0:
-            b2_totals[b2] = b2_totals.get(b2, Fraction(0)) + p
-            key = (b2, c)
-            c_given_b2[key] = c_given_b2.get(key, Fraction(0)) + p
-    out: dict = {}
-    for (a, b1, b2, c), p in joint.items():
-        if p == 0:
-            continue
-        for (b2v, cp), q in c_given_b2.items():
-            if b2v == b1:
-                out[(a, b1, b2, c, cp)] = p * q / b2_totals[b1]
-    return DiscreteDistribution(out)
+    for (_, _, b2, c), w in joint._mass.items():
+        if w:
+            row = c_given_b2.setdefault(b2, {})
+            row[c] = row.get(c, 0) + w
+    rows, lcm = _conditional_rows(c_given_b2)
+    out = {
+        (a, b1, b2, c, cp): w * f
+        for (a, b1, b2, c), w in joint._mass.items() if w
+        for cp, f in rows[b1]
+    }
+    return DiscreteDistribution.from_weights(out, joint._denominator * lcm)
 
 
 # -- uniform homomorphism distributions ------------------------------------
@@ -266,10 +258,10 @@ class PathMarginals:
             self.pair_counts.append(counts)
 
     def single_entropy(self, i: int) -> float:
-        return _entropy_of(Fraction(c, self.hom) for c in self.single_counts[i].values())
+        return _entropy_of_ratios(_lowest_terms(self.single_counts[i].values(), self.hom))
 
     def pair_entropy(self, i: int) -> float:
-        return _entropy_of(Fraction(c, self.hom) for c in self.pair_counts[i].values())
+        return _entropy_of_ratios(_lowest_terms(self.pair_counts[i].values(), self.hom))
 
     def conditional_counts(self, child_spine: int, parent_spine: int) -> dict:
         """{a: {b: count}} for adjacent spine positions: the homomorphisms
@@ -344,16 +336,10 @@ def _forest_bfs_orders(h: LabelledForest) -> list[list[tuple[int, Optional[int]]
 
 
 def _weight_factors(marg: PathMarginals, child_spine: int, parent_spine: int):
-    """({a: [(b, count(a, b) * (L // s(a)))]}, L) with s the single counts at
-    parent_spine and L their lcm: the conditional law of the child's image
-    given the parent's, as integers over L."""
-    singles = marg.single_counts[parent_spine]
-    lcm = math.lcm(*singles.values())
-    rows = {
-        a: [(b, c * (lcm // singles[a])) for b, c in row.items()]
-        for a, row in marg.conditional_counts(child_spine, parent_spine).items()
-    }
-    return rows, lcm
+    """The conditional law of the child's image given the parent's as
+    integer rows over one denominator; row a totals the single count of a
+    at parent_spine."""
+    return _conditional_rows(marg.conditional_counts(child_spine, parent_spine))
 
 
 def _state_counts(

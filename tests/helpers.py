@@ -340,3 +340,28 @@ def glued_distribution_oracle(h, p: EdgeColouredGraph, g: EdgeColouredGraph, gua
         key = tuple(assignment[v] for v in range(h.graph.n))
         out[key] = out.get(key, Fraction(0)) + prob
     return DiscreteDistribution(out)
+
+
+def glue_oracle(joint):
+    """Reference gluing with one Fraction per outcome: the joint over
+    (a, b1, b2, c, c') with c' drawn from the law of c given b2 = b1,
+    every probability p(a, b1, b2, c) * p(b2 = b1, c') / p(b2 = b1)."""
+    from altpaths.entropy import DiscreteDistribution
+
+    if joint.marginal([1]) != joint.marginal([2]):
+        raise ValueError("glueing requires identically distributed b1 and b2")
+    b2_totals: dict = {}
+    c_given_b2: dict = {}
+    for (_, _, b2, c), p in joint.items():
+        if p > 0:
+            b2_totals[b2] = b2_totals.get(b2, Fraction(0)) + p
+            key = (b2, c)
+            c_given_b2[key] = c_given_b2.get(key, Fraction(0)) + p
+    out: dict = {}
+    for (a, b1, b2, c), p in joint.items():
+        if p == 0:
+            continue
+        for (b2v, cp), q in c_given_b2.items():
+            if b2v == b1:
+                out[(a, b1, b2, c, cp)] = p * q / b2_totals[b1]
+    return DiscreteDistribution(out)

@@ -273,6 +273,17 @@ class TestEntropyCheck:
         assert main(["entropy-check", "--fixture", "H5", "--host", str(host)]) == 0
         assert "glued distribution skipped" in capsys.readouterr().out
 
+    def test_gluing_capped_below_the_default_budget(self, tmp_path, capsys):
+        # H3_large on host 122 of n = 4 glues 2,097,152 states: under the
+        # default budget, above the gluing cap, so it is refused unbuilt.
+        host = tmp_path / "h122.ecg"
+        write_ecg(host_from_index(4, 122), host)
+        report = tmp_path / "entropy.json"
+        argv = ["--json", str(report), "entropy-check", "--fixture", "H3_large", "--host", str(host)]
+        assert main(argv) == 0
+        assert "glued distribution skipped" in capsys.readouterr().out
+        assert json.loads(report.read_text())["glued_ok"] is None
+
 
 class TestErrorPaths:
     def test_malformed_ecg_exit_code(self, tmp_path):

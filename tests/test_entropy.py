@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import random
@@ -42,7 +43,7 @@ from altpaths.entropy import (
     uniform_hom_distribution,
 )
 from altpaths.homcount import NotAForest, hom_forest
-from helpers import glued_distribution_oracle, random_graph, random_triple
+from helpers import glue_oracle, glued_distribution_oracle, random_graph, random_triple
 
 TRIANGLE = EdgeColouredGraph.make(3, [(0, 1, RED), (1, 2, BLUE), (0, 2, RED)])
 # Red 4-cycle with a blue perfect matching: every alternating walk extends.
@@ -83,6 +84,8 @@ class TestEntropy:
     def test_distribution_validation(self):
         with pytest.raises(ValueError, match="sum"):
             DiscreteDistribution({0: Fraction(1, 2)})
+        with pytest.raises(ValueError, match="sum"):
+            uniform([0, 0])
         with pytest.raises(ValueError, match="negative"):
             DiscreteDistribution({0: Fraction(3, 2), 1: Fraction(-1, 2)})
 
@@ -101,6 +104,12 @@ class TestEntropy:
 
 class TestFromWeights:
     def test_same_as_fraction_constructor(self):
+        half = DiscreteDistribution({0: Fraction(1, 2), 1: Fraction(1, 2)})
+        padded = DiscreteDistribution.from_weights({0: 3, 1: 3, 2: 0}, 6)
+        assert DiscreteDistribution.from_weights({0: 1, 1: 1}, 2) == padded == half
+        for near in ({0: 4, 1: 2}, {0: 3, 1: 2, 2: 1}):
+            near = DiscreteDistribution.from_weights(near, 6)
+            assert near != padded and padded != near and near != half
         rng = random.Random(12)
         for _ in range(200):
             weights = {o: rng.randint(0, 50) for o in range(rng.randint(1, 8))}
@@ -146,17 +155,21 @@ class TestFromWeights:
             twin = DiscreteDistribution({o: Fraction(w, den) for o, w in weights.items()})
             assert entropy(d) == entropy(twin)
 
-    def test_weight_reads_leave_the_fraction_map_unbuilt(self):
+    def test_weight_reads_leave_the_fraction_map_unbuilt(self, monkeypatch):
         weights = {(0, 1): 3, (1, 0): 0, (1, 1): 5, (2, 2): 4}
         d = DiscreteDistribution.from_weights(weights, 12)
         twin = DiscreteDistribution({o: Fraction(w, 12) for o, w in weights.items()})
-        assert list(d.outcomes()) == list(twin.outcomes())
-        assert len(d) == len(twin) == 3
-        assert d.support() == twin.support()
-        assert entropy(d) == entropy(twin)
-        assert "_prob" not in vars(d)
+
+        def no_fraction(*args):
+            raise AssertionError("a weight read formed a Fraction")
+
+        with monkeypatch.context() as m:
+            m.setattr(altpaths.entropy, "Fraction", no_fraction)
+            assert list(d.outcomes()) == list(twin.outcomes())
+            assert len(d) == len(twin) == 3
+            assert d.support() == twin.support()
+            assert entropy(d) == entropy(twin)
         assert list(d.items()) == list(twin.items())
-        assert "_prob" in vars(d)
         assert d == twin and d.marginal([0]) == twin.marginal([0])
         assert d.probability((1, 1)) == Fraction(5, 12)
 
@@ -249,11 +262,14 @@ class TestGluing:
             joint = self._random_gluable_joint(rng)
             glued = glue(joint)
             assert glued.marginal([1, 4]) == joint.marginal([2, 3])
+            assert list(glued.items()) == list(glue_oracle(joint).items())
 
     def test_conditional_independence_exact(self):
         rng = random.Random(29)
         for _ in range(40):
-            glued = glue(self._random_gluable_joint(rng))
+            joint = self._random_gluable_joint(rng)
+            glued = glue(joint)
+            assert list(glued.items()) == list(glue_oracle(joint).items())
             # P(a, c' | b1) must factor exactly for every b1 in the range.
             by_b1 = {}
             for (a, b1, _, _, cp), p in glued.items():
@@ -521,6 +537,22 @@ class TestGluedAgainstOracle:
             for guard in self.GUARD_LADDER:
                 _check_against_oracle(h, host_from_index(4, index), guard, outcomes)
         assert outcomes == {"glued", "refused"}
+
+
+def test_benchmark_support_count_matches_the_gluing(monkeypatch):
+    # The benchmark's reference script counts glued states through
+    # _forest_bfs_orders and PathMarginals.conditional, and its runner
+    # through len(outcomes()); all three must keep agreeing.
+    monkeypatch.setattr(sys, "path", list(sys.path))    # the script prepends to it
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "make_reference.py"
+    spec = importlib.util.spec_from_file_location("make_reference", path)
+    make_reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_reference)
+    h = fixture("H3_large")
+    spine = alternating_path(h.spine_edges)
+    for index in (44, 156, 424):
+        g = host_from_index(4, index)
+        assert make_reference.glued_support(h, g) == len(glued_distribution(h, spine, g).outcomes())
 
 
 def test_oversized_gluing_refused_without_building():
