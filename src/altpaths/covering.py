@@ -27,6 +27,7 @@ from .constructions import (
     plan_odd,
     sequences,
 )
+from .ecgraph import parallel_map
 
 # Coefficient rows are maps (series, index) -> coefficient with
 # series in {"x", "y", "z"}; out-of-range indexes are dropped.
@@ -310,9 +311,4 @@ def verify_covering_range(
     """Covering verification for k = 1..k_max; independent k values may fan
     out over worker processes, with reports returned in k order either way."""
     jobs = [(k, method) for k in range(1, k_max + 1)]
-    if workers <= 1 or len(jobs) <= 1:
-        return [_covering_worker(job) for job in jobs]
-    import multiprocessing
-
-    with multiprocessing.Pool(min(workers, len(jobs))) as pool:
-        return pool.map(_covering_worker, jobs)
+    return parallel_map(_covering_worker, jobs, workers)

@@ -8,11 +8,12 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import chain, combinations
-from typing import Iterable, Iterator, Mapping, Optional
+from itertools import chain, combinations, product
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -306,6 +307,88 @@ def enumerate_hosts(n: int, start: int = 0, stop: Optional[int] = None) -> Itera
         raise ValueError(f"bad host range [{start},{stop}) for total {total}")
     for index in range(start, stop):
         yield host_from_index(n, index)
+
+
+def _counter_decoder(n: int):
+    """The tables with which the two decoders below read hosts.
+
+    Vertex x's local code reads the digits of its n-1 pairs, the pair with
+    its j-th other vertex (in index order) as base-3 digit j.  ``tables[x]``
+    maps each local code to x's (red, blue) neighbour tuples, sorted as
+    ``adjacency()`` has them; ``pairs`` holds, per pair (u, v) in counter
+    order, u, the weight of its digit in u's code, v and the weight in v's.
+    """
+    tables = []
+    for x in range(n):
+        others = [w for w in range(n) if w != x]
+        table = []
+        for code in range(3 ** (n - 1)):
+            digits = [code // 3**j % 3 for j in range(n - 1)]
+            table.append((
+                tuple(w for w, d in zip(others, digits) if d == 1),
+                tuple(w for w, d in zip(others, digits) if d == 2),
+            ))
+        tables.append(table)
+    pairs = [(u, 3 ** (v - 1), v, 3**u) for u, v in combinations(range(n), 2)]
+    return tables, pairs
+
+
+def _local_codes(n: int, pairs: list, digits) -> list[int]:
+    """Every vertex's local code for one host's pair digits."""
+    codes = [0] * n
+    for (u, wu, v, wv), d in zip(pairs, digits):
+        codes[u] += d * wu
+        codes[v] += d * wv
+    return codes
+
+
+def _host_adjacencies(n: int, start: int, stop: int) -> Iterator[tuple]:
+    """``host_from_index(n, i).adjacency()`` for i = start..stop-1 in order,
+    decoded straight from the counter with no graph built: each step adds
+    one to the digits and to the local codes of the pairs it changes."""
+    tables, pairs = _counter_decoder(n)
+    digits = [start // 3**p % 3 for p in range(len(pairs))]
+    codes = _local_codes(n, pairs, digits)
+    pick = list.__getitem__
+    for _ in range(start, stop):
+        yield tuple(map(pick, tables, codes))
+        for p, (u, wu, v, wv) in enumerate(pairs):
+            if digits[p] < 2:
+                digits[p] += 1
+                codes[u] += wu
+                codes[v] += wv
+                break
+            digits[p] = 0
+            codes[u] -= 2 * wu
+            codes[v] -= 2 * wv
+
+
+def _complete_adjacencies(n: int) -> Iterator[tuple]:
+    """The adjacency of every complete 2-coloured host on n vertices: the
+    2^(n(n-1)/2) counter indices with no digit 0, not in counter order."""
+    tables, pairs = _counter_decoder(n)
+    pick = list.__getitem__
+    for digits in product((1, 2), repeat=len(pairs)):
+        yield tuple(map(pick, tables, _local_codes(n, pairs, digits)))
+
+
+def worker_count(workers: int, jobs: int) -> int:
+    """Processes for a fan-out of ``jobs`` independent jobs: at most
+    ``workers``, one per job and one per CPU, and never fewer than one."""
+    return max(1, min(workers, jobs, os.cpu_count() or 1))
+
+
+def parallel_map(fn: Callable, jobs: list, workers: int) -> list:
+    """``[fn(job) for job in jobs]``, in job order, on
+    ``worker_count(workers, len(jobs))`` processes; in this process when
+    that is one."""
+    size = worker_count(workers, len(jobs))
+    if size == 1:
+        return [fn(job) for job in jobs]
+    import multiprocessing
+
+    with multiprocessing.Pool(size) as pool:
+        return pool.map(fn, jobs)
 
 
 def random_host(n: int, rng: random.Random) -> EdgeColouredGraph:

@@ -136,11 +136,11 @@ def _plan(h: EdgeColouredGraph) -> _Plan:
     return cached
 
 
-def _step_tables(plan: _Plan, g: EdgeColouredGraph) -> list[list[int]]:
+def _step_tables(plan: _Plan, gadj) -> list[list[int]]:
     """table[w] per step: homomorphisms of that rooted subtree with its
-    root mapped to host vertex w."""
-    require_valid(g)
-    gadj = g.adjacency()
+    root mapped to host vertex w.  The host is given only by its per-colour
+    neighbour lists, shaped as ``EdgeColouredGraph.adjacency()`` returns
+    them, so the exhaustive sweep can evaluate hosts it never builds."""
     tables: list[list[int]] = []
     for step in plan.steps:
         table = None
@@ -150,8 +150,20 @@ def _step_tables(plan: _Plan, g: EdgeColouredGraph) -> list[list[int]]:
             if mult != 1:
                 sums = [s**mult for s in sums]
             table = sums if table is None else [t * s for t, s in zip(table, sums)]
-        tables.append([1] * g.n if table is None else table)
+        tables.append([1] * len(gadj) if table is None else table)
     return tables
+
+
+def _plan_hom(plan: _Plan, gadj) -> int:
+    """Homomorphisms of a compiled pattern into the host with neighbour
+    lists gadj: the root tables summed and raised to their counts."""
+    tables = _step_tables(plan, gadj)
+    total = 1
+    for sid, count in plan.roots:
+        total *= sum(tables[sid]) ** count
+        if total == 0:
+            return 0
+    return total
 
 
 def rooted_tables(h: EdgeColouredGraph, g: EdgeColouredGraph) -> list[list[int]]:
@@ -159,7 +171,8 @@ def rooted_tables(h: EdgeColouredGraph, g: EdgeColouredGraph) -> list[list[int]]
     v (rooted as in forest_orders) with v mapped to each host vertex.
     Vertices of equal subtree shape share one table object."""
     plan = _plan(h)
-    tables = _step_tables(plan, g)
+    require_valid(g)
+    tables = _step_tables(plan, g.adjacency())
     return [tables[sid] for sid in plan.vertex_step]
 
 
@@ -172,13 +185,8 @@ def hom_forest(h: EdgeColouredGraph, g: EdgeColouredGraph) -> int:
     repetitive built forests.  No recursion, so any depth is fine.
     """
     plan = _plan(h)
-    tables = _step_tables(plan, g)
-    total = 1
-    for sid, count in plan.roots:
-        total *= sum(tables[sid]) ** count
-        if total == 0:
-            return 0
-    return total
+    require_valid(g)
+    return _plan_hom(plan, g.adjacency())
 
 
 def is_forest(h: EdgeColouredGraph) -> bool:

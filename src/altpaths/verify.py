@@ -22,11 +22,15 @@ from .ecgraph import (
     RED,
     BudgetExceeded,
     EdgeColouredGraph,
+    _complete_adjacencies,
+    _host_adjacencies,
     host_count,
     host_from_index,
+    parallel_map,
     symmetric_residues,
+    worker_count,
 )
-from .homcount import density, hom_forest, is_forest
+from .homcount import _plan, _plan_hom, density, hom_forest, is_forest
 
 
 def digits(n: int) -> str:
@@ -201,14 +205,20 @@ class MaxResult:
 
 
 def _scan_chunk(args) -> tuple[int, int]:
-    pattern, n, start, stop = args
+    """The largest hom over counter indices start..stop-1 and the first index
+    attaining it; the scan ends at the first index whose hom is ``target``,
+    the maximum over all hosts, since no later index can beat it."""
+    pattern, n, start, stop, target = args
+    plan = _plan(pattern)
     best_hom = -1
     best_index = -1
-    for index in range(start, stop):
-        value = hom_forest(pattern, host_from_index(n, index))
+    for index, gadj in enumerate(_host_adjacencies(n, start, stop), start):
+        value = _plan_hom(plan, gadj)
         if value > best_hom:
             best_hom = value
             best_index = index
+            if value == target:
+                break
     return best_hom, best_index
 
 
@@ -226,26 +236,26 @@ def exhaustive_max(
     Exhaustive (exact, with deterministic first-attaining argmax) while the
     3^(n(n-1)/2) host count fits the budget; beyond it, a seeded
     random-restart single-pair recolouring climb, flagged non-exhaustive.
+
+    The exhaustive sweep first learns the maximum on the 2^(n(n-1)/2)
+    complete 2-coloured hosts.  Colouring an absent pair only adds
+    homomorphisms, so that is the maximum over all hosts; the in-order scan
+    of the 3-state counter then stops at the first index that attains it.
     """
     if not is_forest(pattern):
         raise ValueError("exhaustive search is implemented for forest patterns")
     total = host_count(n)
     if total <= budget:
-        chunk_count = max(1, min(workers, total))
+        plan = _plan(pattern)
+        target = max(_plan_hom(plan, gadj) for gadj in _complete_adjacencies(n))
+        chunk_count = worker_count(workers, total)
         bounds = [total * i // chunk_count for i in range(chunk_count + 1)]
         chunks = [
-            (pattern, n, bounds[i], bounds[i + 1]) for i in range(chunk_count)
+            (pattern, n, bounds[i], bounds[i + 1], target) for i in range(chunk_count)
         ]
-        if chunk_count == 1:
-            results = [_scan_chunk(chunks[0])]
-        else:
-            import multiprocessing
-
-            with multiprocessing.Pool(chunk_count) as pool:
-                results = pool.map(_scan_chunk, chunks)
         best_hom, best_index = -1, -1
-        for value, index in results:       # chunk order fixes the tie-break
-            if value > best_hom:
+        for value, index in parallel_map(_scan_chunk, chunks, workers):
+            if value > best_hom:           # chunk order fixes the tie-break
                 best_hom, best_index = value, index
         best_host = host_from_index(n, best_index)
         return MaxResult(density(pattern, best_host), best_host, True, best_index)

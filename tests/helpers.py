@@ -365,3 +365,21 @@ def glue_oracle(joint):
             if b2v == b1:
                 out[(a, b1, b2, c, cp)] = p * q / b2_totals[b1]
     return DiscreteDistribution(out)
+
+
+def exhaustive_max_oracle(pattern: EdgeColouredGraph, n: int):
+    """Reference exhaustive sweep: every host on n vertices built by
+    host_from_index and counted by hom_forest, in counter order, with no
+    early stop.  Returns (density, index, host) of the first host attaining
+    the maximum; the density goes through homcount.density, as the sweep's
+    does, so an empty host raises the same ValueError."""
+    from altpaths.ecgraph import host_count, host_from_index
+    from altpaths.homcount import density, hom_forest
+
+    best_hom, best_index = -1, -1
+    for index in range(host_count(n)):
+        value = hom_forest(pattern, host_from_index(n, index))
+        if value > best_hom:
+            best_hom, best_index = value, index
+    best_host = host_from_index(n, best_index)
+    return density(pattern, best_host), best_index, best_host

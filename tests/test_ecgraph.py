@@ -11,6 +11,8 @@ from altpaths.ecgraph import (
     RED,
     Colour,
     EdgeColouredGraph,
+    _complete_adjacencies,
+    _host_adjacencies,
     circulant_host,
     degree_stats,
     enumerate_hosts,
@@ -22,6 +24,7 @@ from altpaths.ecgraph import (
     require_valid,
     symmetric_residues,
     validate,
+    worker_count,
 )
 from altpaths.homcount import hom_forest
 from helpers import brute_two_walks, random_graph
@@ -266,3 +269,47 @@ class TestFromEdgeArray:
         with pytest.raises(AttributeError):
             g.no_such_attribute
         assert not hasattr(TRIANGLE, "no_such_attribute")
+
+
+class TestCounterDecoder:
+    """The sweep's neighbour lists, decoded straight from the counter."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_every_index(self, n):
+        decoded = list(_host_adjacencies(n, 0, host_count(n)))
+        assert decoded == [host_from_index(n, i).adjacency() for i in range(host_count(n))]
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_from_seeded_chunk_starts(self, n):
+        rng = random.Random(1210 + n)
+        total = host_count(n)
+        starts = [rng.randrange(total) for _ in range(6)] + [0, total - 300]
+        for start in starts:
+            stop = min(total, start + 300)
+            decoded = list(_host_adjacencies(n, start, stop))
+            assert decoded == [host_from_index(n, i).adjacency() for i in range(start, stop)]
+
+    def test_empty_range(self):
+        assert list(_host_adjacencies(4, 17, 17)) == []
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_complete_hosts(self, n):
+        pairs = n * (n - 1) // 2
+        complete = sorted(
+            g.adjacency() for g in enumerate_hosts(n) if len(g.edges) == pairs
+        )
+        assert sorted(_complete_adjacencies(n)) == complete
+        assert len(complete) == 2**pairs
+
+
+class TestWorkerCount:
+    def test_clamped_to_jobs_and_cpus(self, monkeypatch):
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert worker_count(10**6, host_count(5)) == 4
+        assert worker_count(10**6, 2) == 2
+        assert worker_count(3, 100) == 3
+        assert worker_count(0, 100) == worker_count(-5, 100) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert worker_count(10**6, 100) == 1

@@ -13,6 +13,8 @@ from altpaths.ecgraph import (
     BudgetExceeded,
     EdgeColouredGraph,
     circulant_host,
+    host_count,
+    host_from_index,
     random_hosts,
     symmetric_residues,
 )
@@ -30,7 +32,13 @@ from altpaths.verify import (
     fraction_text,
     tightness_curve,
 )
-from helpers import brute_hom_oracle, p3_loopless_ceiling
+from helpers import (
+    brute_hom_oracle,
+    exhaustive_max_oracle,
+    p3_loopless_ceiling,
+    random_forest,
+    random_graph,
+)
 
 TRIANGLE = EdgeColouredGraph.make(3, [(0, 1, RED), (1, 2, BLUE), (0, 2, RED)])
 
@@ -229,6 +237,128 @@ class TestExhaustiveMax:
         )
         assert not result.exhaustive
         assert result.density <= bound_odd(1)
+
+
+def _sweep_outcome(run):
+    """(density, index, argmax key) of a sweep, or the error it raises."""
+    try:
+        density, index, host = run()
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    return density, index, host.canonical_key()
+
+
+def _sweep(pattern, n, workers):
+    result = exhaustive_max(pattern, n, workers=workers)
+    return result.density, result.index, result.host
+
+
+def _oracle_cases():
+    cases = [(alternating_path(e), n) for e in range(1, 6) for n in range(5)]
+    cases += [(alternating_path(e), 5) for e in (2, 3, 4)]
+    rng = random.Random(1207)
+    for _ in range(12):
+        cases.append((random_forest(rng, rng.randint(1, 5)), rng.randint(1, 4)))
+    return cases
+
+
+class TestExhaustiveAgainstOracle:
+    """The two-stage sweep against the full in-order scan it replaced."""
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        return [
+            _sweep_outcome(lambda p=p, n=n: exhaustive_max_oracle(p, n))
+            for p, n in _oracle_cases()
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_same_density_index_and_argmax(self, oracle, workers):
+        got = [
+            _sweep_outcome(lambda p=p, n=n: _sweep(p, n, workers))
+            for p, n in _oracle_cases()
+        ]
+        assert got == oracle
+
+
+class TestEarlyStopLemma:
+    """Colouring an absent pair only adds homomorphisms, so the maximum over
+    all hosts is the maximum over the complete 2-coloured hosts."""
+
+    def test_colouring_an_absent_pair_never_lowers_hom(self):
+        rng = random.Random(1208)
+        checked = 0
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(2, 6))
+            pattern = random_forest(rng, rng.randint(1, 5))
+            base = hom_forest(pattern, g)
+            present = {(u, v) for u, v, _ in g.edges}
+            for u in range(g.n):
+                for v in range(u + 1, g.n):
+                    if (u, v) in present:
+                        continue
+                    for colour in (RED, BLUE):
+                        bigger = EdgeColouredGraph.make(g.n, g.edges + ((u, v, colour),))
+                        assert hom_forest(pattern, bigger) >= base
+                        checked += 1
+        assert checked > 100
+
+    def test_complete_host_maximum_is_the_three_state_maximum(self):
+        rng = random.Random(1209)
+        patterns = [alternating_path(e) for e in range(1, 5)]
+        patterns += [random_forest(rng, rng.randint(1, 5)) for _ in range(6)]
+        for n in range(1, 5):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            complete = [
+                EdgeColouredGraph.make(n, [(u, v, c) for (u, v), c in zip(pairs, colours)])
+                for colours in product((RED, BLUE), repeat=len(pairs))
+            ]
+            every = [host_from_index(n, i) for i in range(host_count(n))]
+            for pattern in patterns:
+                assert max(hom_forest(pattern, g) for g in complete) == max(
+                    hom_forest(pattern, g) for g in every
+                )
+
+
+class TestWorkerClamp:
+    """A fan-out never asks for more processes than there are CPUs."""
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        import multiprocessing
+        import os
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return [fn(job) for job in jobs]
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        return sizes
+
+    def test_exhaustive_max(self, pool_sizes):
+        result = exhaustive_max(alternating_path(3), 4, workers=10**6)
+        assert pool_sizes == [3]
+        solo = exhaustive_max(alternating_path(3), 4)
+        assert (result.density, result.index) == (solo.density, solo.index)
+
+    def test_verify_covering_range(self, pool_sizes):
+        from altpaths.covering import verify_covering_range
+
+        reports = verify_covering_range(4, workers=10**6)
+        assert pool_sizes == [3]
+        assert [r.k for r in reports] == [1, 2, 3, 4]
 
 
 class TestExpansionIdentity:
