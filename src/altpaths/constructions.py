@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -213,16 +213,14 @@ class ClassCounts:
 Plan = dict[int, ClassCounts]
 
 
-@dataclass(frozen=True)
-class VertexBlock:
+class VertexBlock(NamedTuple):
     kind: str    # spine | xr | xb | zr | zrb | zb | zbb | yminus | yplus | aux
     j: int       # defining spine index of the class
     count: int
     phi: int     # common spine image of every vertex in the block
 
 
-@dataclass(frozen=True)
-class EdgeBlock:
+class EdgeBlock(NamedTuple):
     colour: Colour
     count: int
     a_block: int       # index into the vertex-block list
@@ -416,13 +414,15 @@ class LabelledForest:
 
 
 # The array build peaks at about 260 bytes of memory per edge (H_k at k = 8,
-# 10 and 12; building the tuples took about 385).  The cap stays where the
-# tuple build put it, because ``write_ecg``, ``format_roles`` and
-# ``hom_forest`` still read the tuples: writing a forest peaks at about 310
-# bytes per edge, compiling its ``hom_forest`` plan at about 650.  H_15
-# (3,690,271 edges) builds and H_16 (5,035,569) is refused; moving this cap
-# or ``covering._MATERIALISE_CAP`` would change exit codes and the method
-# that ``verify-covering`` picks by default.
+# 10 and 12; building the tuples took about 385).  ``hom_forest`` compiles a
+# built forest's plan from its class blocks and reads no tuple, so
+# ``verify-ineq --k 12`` peaks at about 260 bytes per edge too (620 when the
+# plan was compiled vertex by vertex).  The cap stays where the tuple build
+# put it, because ``write_ecg`` and ``format_roles`` still read the tuples
+# (writing a forest peaks at about 310 bytes per edge).  H_15 (3,690,271
+# edges) builds and H_16 (5,035,569) is refused; moving this cap or
+# ``covering._MATERIALISE_CAP`` would change exit codes and the method that
+# ``verify-covering`` picks by default.
 _MATERIALISE_EDGES = 5_000_000
 
 
@@ -464,6 +464,9 @@ def materialise(length: int, plan: Plan) -> LabelledForest:
     graph = EdgeColouredGraph.from_edge_array(
         len(phi), _edge_rows(eblocks, np.cumsum(vcount) - vcount, edge_count)
     )
+    # The blocks name the forest's few distinct subtrees, so ``hom_forest``
+    # compiles its plan from them (``homcount._block_plan``).
+    object.__setattr__(graph, "_blocks", (vblocks, eblocks))
     forest = LabelledForest.from_arrays(graph, roles, phi, length)
     # Compared with a throwaway tuple, so the forest's phi tuple stays unbuilt.
     if recompute_phi(forest) != tuple(phi.tolist()):

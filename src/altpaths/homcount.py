@@ -5,8 +5,9 @@
 bottom-up product/sum dynamic program, exact over arbitrary-precision
 integers.  ``forest_orders`` is the one forest walk; each pattern is compiled
 from it once into a flat plan of interned subtree shapes, cached on the
-pattern, so any depth works and repeated calls skip the compile.  Densities
-are exact rationals hom / n^v(H).
+pattern, so any depth works and repeated calls skip the compile.  A forest
+laid out from class blocks is compiled from its blocks instead, without a
+walk.  Densities are exact rationals hom / n^v(H).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product, repeat
 from typing import Optional
 
 from .ecgraph import BudgetExceeded, EdgeColouredGraph, require_valid
@@ -113,27 +114,68 @@ class _Plan:
 
 
 def _plan(h: EdgeColouredGraph) -> _Plan:
-    """The compiled plan of h, built on first use and cached on h."""
+    """The compiled plan of h, built on first use and cached on h: from
+    the class blocks a built forest carries, else vertex by vertex."""
     cached = h.__dict__.get("_plan")
     if cached is None:
-        require_valid(h)
-        orders = forest_orders(h)
-        colour_of = {(u, v): c for u, v, c in h.edges}
-        children: list[list[tuple[int, int]]] = [[] for _ in range(h.n)]
-        vertex_step = [0] * h.n
-        step_ids: dict[tuple, int] = {}
-        for v, parent in reversed([pair for order in orders for pair in order]):
-            counts = Counter(children[v])
-            step = tuple(sorted((c, child, m) for (c, child), m in counts.items()))
-            sid = step_ids.setdefault(step, len(step_ids))
-            vertex_step[v] = sid
-            if parent is not None:
-                colour = colour_of[(v, parent) if v < parent else (parent, v)]
-                children[parent].append((int(colour), sid))
-        roots = Counter(vertex_step[order[0][0]] for order in orders)
-        cached = _Plan(tuple(step_ids), tuple(vertex_step), tuple(roots.items()))
+        blocks = h.__dict__.get("_blocks")
+        cached = _vertex_plan(h) if blocks is None else _block_plan(*blocks)
         object.__setattr__(h, "_plan", cached)
     return cached
+
+
+def _vertex_plan(h: EdgeColouredGraph) -> _Plan:
+    """The plan of any forest pattern, compiled vertex by vertex over
+    forest_orders."""
+    require_valid(h)
+    orders = forest_orders(h)
+    colour_of = {(u, v): c for u, v, c in h.edges}
+    children: list[list[tuple[int, int]]] = [[] for _ in range(h.n)]
+    vertex_step = [0] * h.n
+    step_ids: dict[tuple, int] = {}
+    for v, parent in reversed([pair for order in orders for pair in order]):
+        counts = Counter(children[v])
+        step = tuple(sorted((c, child, m) for (c, child), m in counts.items()))
+        sid = step_ids.setdefault(step, len(step_ids))
+        vertex_step[v] = sid
+        if parent is not None:
+            colour = colour_of[(v, parent) if v < parent else (parent, v)]
+            children[parent].append((int(colour), sid))
+    roots = Counter(vertex_step[order[0][0]] for order in orders)
+    return _Plan(tuple(step_ids), tuple(vertex_step), tuple(roots.items()))
+
+
+def _block_plan(vblocks, eblocks) -> _Plan:
+    """The plan of a forest laid out block by block, compiled in O(blocks).
+
+    Reads only block fields: a vertex block's ``count``, and an edge
+    block's ``colour``, ``count``, ``a_block``, ``b_block`` and ``fan``; the
+    forest's vertices are numbered in block order.
+    Each edge block gives the vertices of its head block a parent in its
+    tail block: a fan hangs ``count`` heads on one tail vertex, a parallel
+    block one head on each.  Heads follow their tails in block order, so
+    the blocks in reverse are children before parents, and the parentless
+    blocks (their vertices the least of their components) are the roots.
+    """
+    children: list[Counter] = [Counter() for _ in vblocks]
+    parent: list[Optional[tuple[int, int, int]]] = [None] * len(vblocks)
+    for eb in eblocks:
+        parent[eb.b_block] = (eb.a_block, int(eb.colour), eb.count if eb.fan else 1)
+    block_step = [0] * len(vblocks)
+    step_ids: dict[tuple, int] = {}
+    for b in reversed(range(len(vblocks))):
+        step = tuple(sorted((c, child, m) for (c, child), m in children[b].items()))
+        sid = block_step[b] = step_ids.setdefault(step, len(step_ids))
+        if parent[b] is not None:
+            a, colour, mult = parent[b]
+            children[a][(colour, sid)] += mult
+    roots: Counter = Counter()
+    for b, vb in enumerate(vblocks):
+        if parent[b] is None:
+            roots[block_step[b]] += vb.count
+    runs = (repeat(sid, vb.count) for sid, vb in zip(block_step, vblocks))
+    vertex_step = tuple(chain.from_iterable(runs))
+    return _Plan(tuple(step_ids), vertex_step, tuple(roots.items()))
 
 
 def _step_tables(plan: _Plan, gadj) -> list[list[int]]:

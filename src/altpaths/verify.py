@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .constructions import LabelledForest, alternating_path
@@ -81,6 +82,13 @@ def bound_even(k: int) -> Fraction:
     return Fraction(1, 4**k)
 
 
+@lru_cache(maxsize=8)
+def _bound_power(k: int, exponent: int) -> Fraction:
+    """bound_odd(k)^exponent, the forest-vs-path scale: the same for every
+    host and every call on one forest."""
+    return bound_odd(k) ** exponent
+
+
 def check_inequalities(
     h: LabelledForest, k: int, hosts: Iterable[EdgeColouredGraph]
 ) -> list[InequalityReport]:
@@ -103,15 +111,13 @@ def check_inequalities(
     spine = alternating_path(2 * k + 1)
     e_p = 2 * k + 1
     e_h = h.graph.num_edges()
-    scale = None   # bound_odd(k)^(e_h-e_p), the same for every host
     reports = []
     for g in hosts:
         t_p = density(spine, g)
         # Not density(): H must be a forest, and hom() would brute-force a cyclic H.
         t_h = Fraction(hom_forest(h.graph, g), g.n ** h.graph.n)
         t_h_e_p = t_h**e_p
-        if scale is None:
-            scale = bound_odd(k) ** (e_h - e_p)
+        scale = _bound_power(k, e_h - e_p)
         key = g.canonical_key()
         reports.append(InequalityReport("path-vs-forest", k, key, t_p**e_h, t_h_e_p))
         reports.append(InequalityReport("forest-vs-path", k, key, t_h_e_p, scale * t_p**e_p))

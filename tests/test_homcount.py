@@ -6,10 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altpaths.constructions import alternating_path
-from altpaths.ecgraph import BLUE, RED, BudgetExceeded, EdgeColouredGraph
+from altpaths.constructions import (
+    FIXTURE_NAMES,
+    alternating_path,
+    build_h_odd,
+    fixture,
+    materialise,
+    plan_odd,
+)
+from altpaths.ecgraph import (
+    BLUE,
+    RED,
+    BudgetExceeded,
+    EdgeColouredGraph,
+    enumerate_hosts,
+    host_from_index,
+    random_hosts,
+)
 from altpaths.homcount import (
     NotAForest,
+    _plan,
     density,
     forest_orders,
     hom,
@@ -19,7 +35,14 @@ from altpaths.homcount import (
     rooted_tables,
     weighted_ab_bound,
 )
-from helpers import brute_hom_oracle, path_walk_oracle, random_forest, random_graph
+from helpers import (
+    brute_hom_oracle,
+    path_walk_oracle,
+    random_forest,
+    random_graph,
+    random_plan,
+    random_triple,
+)
 
 TRIANGLE = EdgeColouredGraph.make(3, [(0, 1, RED), (1, 2, BLUE), (0, 2, RED)])
 RED_EDGE = EdgeColouredGraph.make(2, [(0, 1, RED)])
@@ -107,6 +130,83 @@ class TestForestDP:
                 if all(lookup.get((at[a], at[b])) == c for a, b, c in edges):
                     expected[at[v]] += 1
             assert tables[v] == expected
+
+
+def _vertex_compiled(graph: EdgeColouredGraph) -> EdgeColouredGraph:
+    """The same graph rebuilt from its edge tuples, without the class blocks
+    of a built forest, so that its plan is compiled vertex by vertex."""
+    return EdgeColouredGraph(graph.n, graph.edges)
+
+
+class TestBlockPlan:
+    """The plan compiled from a built forest's class blocks, against the
+    vertex-by-vertex compile of the same graph as the oracle."""
+
+    SMALL_HOSTS = [g for n in range(1, 5) for g in enumerate_hosts(n)]
+
+    @staticmethod
+    def built_forests():
+        yield from (build_h_odd(k) for k in range(1, 9))
+        yield from (fixture(name) for name in FIXTURE_NAMES)
+
+    def test_compiled_without_reading_the_edges(self):
+        for forest in (build_h_odd(3), fixture("H5")):
+            plan = _plan(forest.graph)
+            assert "edges" not in forest.graph.__dict__
+            assert plan == _plan(_vertex_compiled(forest.graph))
+
+    def test_equal_hom_on_every_host_up_to_four_vertices(self):
+        assert len([g for g in self.SMALL_HOSTS if g.n == 4]) == 729
+        for forest in self.built_forests():
+            oracle = _vertex_compiled(forest.graph)
+            for g in self.SMALL_HOSTS:
+                assert hom_forest(forest.graph, g) == hom_forest(oracle, g), g.canonical_key()
+
+    @pytest.mark.parametrize("k", [9, 10])
+    def test_equal_hom_on_seeded_hosts_at_large_k(self, k):
+        forest = build_h_odd(k)
+        oracle = _vertex_compiled(forest.graph)
+        hosts = random_hosts(6, 6, seed=900 + k) + [host_from_index(4, i) for i in (44, 156, 424)]
+        assert any(hom_forest(oracle, g) for g in hosts)
+        for g in hosts:
+            assert hom_forest(forest.graph, g) == hom_forest(oracle, g), g.canonical_key()
+
+    def test_equal_hom_on_random_triples(self):
+        rng = random.Random(1313)
+        hosts = [host_from_index(4, i) for i in (44, 156, 424, 481)] + random_hosts(4, 5, seed=1314)
+        for _ in range(200):
+            s = random_triple(rng)
+            forest = materialise(2 * s.k + 1, plan_odd(s.k, s))
+            oracle = _vertex_compiled(forest.graph)
+            for g in hosts:
+                assert hom_forest(forest.graph, g) == hom_forest(oracle, g), (s, g.canonical_key())
+
+    def test_equal_hom_on_random_plans(self):
+        rng = random.Random(1315)
+        hosts = [host_from_index(4, i) for i in (44, 156, 424, 481)] + random_hosts(4, 5, seed=1316)
+        for length in (1, 3, 5):
+            built = 0
+            while built < 40:
+                try:
+                    forest = materialise(length, random_plan(rng, length))
+                except ValueError:   # a class with no spine image
+                    continue
+                built += 1
+                oracle = _vertex_compiled(forest.graph)
+                for g in hosts:
+                    assert hom_forest(forest.graph, g) == hom_forest(oracle, g), g.canonical_key()
+
+    def test_rooted_tables_per_vertex(self):
+        hosts = [host_from_index(4, i) for i in range(0, 729, 53)]
+        rng = random.Random(1317)
+        forests = [build_h_odd(k) for k in range(1, 5)] + [fixture(name) for name in FIXTURE_NAMES]
+        for _ in range(10):
+            s = random_triple(rng)
+            forests.append(materialise(2 * s.k + 1, plan_odd(s.k, s)))
+        for forest in forests:
+            oracle = _vertex_compiled(forest.graph)
+            for g in hosts:
+                assert rooted_tables(forest.graph, g) == rooted_tables(oracle, g), g.canonical_key()
 
 
 @settings(max_examples=150, deadline=None)

@@ -130,6 +130,34 @@ class TestInequalityHP:
         assert report.lhs == 0 and report.rhs == 0 and report.holds
 
 
+class TestInequalityPair:
+    def test_views_are_the_halves(self):
+        for k in (1, 2, 3):
+            h = build_h_odd(k)
+            hosts = random_hosts(12, 6, seed=70 + k)
+            reports = verify.check_inequalities(h, k, hosts)
+            assert [r.name for r in reports[:2]] == ["path-vs-forest", "forest-vs-path"]
+            for g, ph, hp in zip(hosts, reports[::2], reports[1::2]):
+                assert check_eq_ph(h, k, g) == ph
+                assert check_eq_hp(h, k, g) == hp
+
+    def test_forest_vs_path_scale(self):
+        # The cached scale is bound_odd(k)^(e(H)-e(P)) on every host.
+        h = build_h_odd(2)
+        e_h = h.graph.num_edges()
+        for g in random_hosts(10, 5, seed=74):
+            t_p = Fraction(hom_forest(alternating_path(5), g), g.n**6)
+            report = check_eq_hp(h, 2, g)
+            assert report.rhs == bound_odd(2) ** (e_h - 5) * t_p**5
+
+    def test_built_forest_counted_from_its_blocks(self):
+        # No vertex-by-vertex plan compile, which would read the edge tuples.
+        forest = build_h_odd(4)
+        hosts = random_hosts(4, 6, seed=75)
+        assert all(r.holds for r in verify.check_inequalities(forest, 4, hosts))
+        assert "edges" not in forest.graph.__dict__
+
+
 class TestTightness:
     def test_k1_curve(self):
         points = tightness_curve(1, [6, 12, 18, 24, 30])
