@@ -11,15 +11,17 @@ forward/backward walk count, no enumeration needed), the glued
 distribution that extends a random spine homomorphism over a decorated
 forest one conditionally-independent vertex at a time, and the closed-form
 entropy of that gluing.  The gluing counts its states before it builds
-any and carries each state as a tuple of images with one integer weight.
+any, carries each state as a tuple of images with one integer weight, and
+crosses the components as two parallel streams, images and weights.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import countOf, itemgetter
-from typing import Hashable, Iterable, Mapping, Optional
+from itertools import product, repeat, starmap
+from operator import add, countOf, itemgetter, mul
+from typing import Collection, Hashable, Iterable, Mapping, Optional
 
 from .constructions import LabelledForest, homomorphism_violation
 from .ecgraph import BudgetExceeded, EdgeColouredGraph, require_valid
@@ -63,11 +65,12 @@ class DiscreteDistribution:
         sum to the denominator; checked in integers, in the mapping's order."""
         if not isinstance(denominator, int) or denominator <= 0:
             raise ValueError(f"denominator {denominator!r} is not a positive integer")
-        for w in weights.values():
-            if not isinstance(w, int) or w < 0:
-                outcome = next(o for o, x in weights.items() if x is w)
-                raise ValueError(f"weight {w!r} for {outcome!r} is not a nonnegative integer")
-        total = sum(weights.values())
+        values = weights.values()
+        if not (all(map(isinstance, values, repeat(int))) and min(values, default=0) >= 0):
+            for outcome, w in weights.items():
+                if not isinstance(w, int) or w < 0:
+                    raise ValueError(f"weight {w!r} for {outcome!r} is not a nonnegative integer")
+        total = sum(values)
         if total != denominator:
             raise ValueError(f"weights sum to {total}, not the denominator {denominator}")
         d = cls.__new__(cls)
@@ -115,29 +118,26 @@ def uniform(outcomes: Iterable[Hashable]) -> DiscreteDistribution:
 
 
 def entropy(d: DiscreteDistribution) -> float:
-    """Shannon entropy in bits; 0 log 0 handled by summing the support.
+    """Shannon entropy in bits; 0 log 0 handled by summing the support."""
+    return _entropy_of_weights(d._mass.values(), d._denominator)
 
-    Each term takes n = w/g and d = D/g with g = gcd(w, D), the pair
-    Fraction(w, D).as_integer_ratio() gives, so the float is the one the
-    defining sum over exact probabilities gives.
+
+def _entropy_of_weights(weights: Collection[int], den: int) -> float:
+    """-sum of p log2(p) over the positive weights w, p = w/den, in order.
+
+    Each term takes n = w/g and m = den/g with g = gcd(w, den), the pair
+    Fraction(w, den).as_integer_ratio() gives, so the float is the one the
+    defining sum over exact probabilities gives.  A term is computed once
+    per distinct weight and the terms are summed in the weights' order.
     """
-    return _entropy_of_ratios(_lowest_terms(d._mass.values(), d._denominator))
-
-
-def _lowest_terms(weights: Iterable[int], den: int):
-    """(w/g, den/g) with g = gcd(w, den), for each positive weight w."""
-    gcd = math.gcd
-    for w in weights:
+    log2, gcd = math.log2, math.gcd
+    term = {}
+    for w in set(weights):
         if w:
             g = gcd(w, den)
-            yield w // g, den // g
-
-
-def _entropy_of_ratios(ratios: Iterable[tuple[int, int]]) -> float:
-    """-sum of n/d * (log2(n) - log2(d)) over the (numerator, denominator)
-    pairs with n > 0, in order."""
-    log2 = math.log2
-    return -sum(n / d * (log2(n) - log2(d)) for n, d in ratios if n > 0)
+            n, m = w // g, den // g
+            term[w] = n / m * (log2(n) - log2(m))
+    return -sum(map(term.__getitem__, filter(None, weights)))
 
 
 def _conditional_rows(counts: Mapping[Hashable, Mapping[Hashable, int]]):
@@ -167,9 +167,9 @@ def conditional_entropy(joint: DiscreteDistribution) -> float:
     totals = [sum(slice_.values()) for slice_ in by_y.values()]
     value = 0.0
     for slice_, w_y in zip(by_y.values(), totals):
-        value += w_y / den * _entropy_of_ratios(_lowest_terms(slice_.values(), w_y))
+        value += w_y / den * _entropy_of_weights(slice_.values(), w_y)
     h_joint = entropy(joint)
-    h_y = _entropy_of_ratios(_lowest_terms(totals, den))
+    h_y = _entropy_of_weights(totals, den)
     if abs(value - (h_joint - h_y)) > 1e-12 * max(1.0, abs(h_joint)):
         raise ArithmeticError("chain-rule self-check failed in conditional_entropy")
     return value
@@ -258,10 +258,10 @@ class PathMarginals:
             self.pair_counts.append(counts)
 
     def single_entropy(self, i: int) -> float:
-        return _entropy_of_ratios(_lowest_terms(self.single_counts[i].values(), self.hom))
+        return _entropy_of_weights(self.single_counts[i].values(), self.hom)
 
     def pair_entropy(self, i: int) -> float:
-        return _entropy_of_ratios(_lowest_terms(self.pair_counts[i].values(), self.hom))
+        return _entropy_of_weights(self.pair_counts[i].values(), self.hom)
 
     def conditional_counts(self, child_spine: int, parent_spine: int) -> dict:
         """{a: {b: count}} for adjacent spine positions: the homomorphisms
@@ -424,7 +424,9 @@ def glued_distribution(
     and the denominator by L, where s are the single counts at the parent's
     spine image and L is their lcm, so every weight shares one denominator.
     The guard is checked against the counted states after every vertex and
-    every component (``_state_counts``) before any state is built.
+    every component (``_state_counts``) before any state is built.  Each
+    component is crossed in as it is built, by one pairwise product of the
+    image stream and one of the weight stream, earlier components outermost.
     """
     bad = homomorphism_violation(h)
     if bad is not None:
@@ -437,7 +439,8 @@ def glued_distribution(
     spine_steps = {(h.phi[v], h.phi[u]) for order in orders for v, u in order[1:]}
     factors = {step: _weight_factors(marg, *step) for step in spine_steps}
     counts = _state_counts(h, marg, orders, factors, guard)
-    component_supports = []
+    images: Iterable[tuple] = [()]
+    weights: Iterable[int] = [1]
     denominator = 1
     for order, count in zip(orders, counts):
         position = {v: i for i, (v, _) in enumerate(order)}
@@ -448,28 +451,22 @@ def glued_distribution(
             rows, lcm = factors[h.phi[v], h.phi[parent]]
             at = position[parent]
             states = [
-                (images + (b,), weight * f)
-                for images, weight in states
-                for b, f in rows[images[at]]
+                (built + (b,), weight * f)
+                for built, weight in states
+                for b, f in rows[built[at]]
             ]
             denominator *= lcm
         if len(states) != count:
             raise ArithmeticError(f"built {len(states)} component states, the tree count is {count}")
-        component_supports.append(states)
+        # Cross the component in; every per-state step runs in C.
+        component_images, component_weights = zip(*states)
+        images = starmap(add, product(images, component_images))
+        weights = starmap(mul, product(weights, component_weights))
 
-    full: list[tuple[tuple, int]] = [((), 1)]
-    for states in component_supports:
-        full = [
-            (acc + images, w_acc * weight)
-            for acc, w_acc in full
-            for images, weight in states
-        ]
     walked = {v: i for i, (v, _) in enumerate(pair for order in orders for pair in order)}
     perm = [walked[v] for v in range(h.graph.n)]
     key_of = itemgetter(*perm) if len(perm) > 1 else tuple
-    return DiscreteDistribution.from_weights(
-        {key_of(images): weight for images, weight in full}, denominator
-    )
+    return DiscreteDistribution.from_weights(dict(zip(map(key_of, images), weights)), denominator)
 
 
 def closed_form_entropy(

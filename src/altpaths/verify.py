@@ -117,10 +117,11 @@ def check_inequalities(
         # Not density(): H must be a forest, and hom() would brute-force a cyclic H.
         t_h = Fraction(hom_forest(h.graph, g), g.n ** h.graph.n)
         t_h_e_p = t_h**e_p
-        scale = _bound_power(k, e_h - e_p)
+        # The scale's power is costly at large k, and with t(P) = 0 the bound is 0 without it.
+        bound = _bound_power(k, e_h - e_p) * t_p**e_p if t_p else Fraction(0)
         key = g.canonical_key()
         reports.append(InequalityReport("path-vs-forest", k, key, t_p**e_h, t_h_e_p))
-        reports.append(InequalityReport("forest-vs-path", k, key, t_h_e_p, scale * t_p**e_p))
+        reports.append(InequalityReport("forest-vs-path", k, key, t_h_e_p, bound))
     return reports
 
 

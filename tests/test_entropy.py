@@ -42,7 +42,7 @@ from altpaths.entropy import (
     uniform,
     uniform_hom_distribution,
 )
-from altpaths.homcount import NotAForest, hom_forest
+from altpaths.homcount import NotAForest, forest_orders, hom_forest
 from helpers import glue_oracle, glued_distribution_oracle, random_graph, random_triple
 
 TRIANGLE = EdgeColouredGraph.make(3, [(0, 1, RED), (1, 2, BLUE), (0, 2, RED)])
@@ -102,6 +102,28 @@ class TestEntropy:
             assert entropy(d) == expected
 
 
+    def test_entropy_is_the_defining_sum_on_repeated_weights(self):
+        # Many outcomes share a few weights, so a term computed once per
+        # distinct weight stands for many summands.
+        def defining_sum(d):
+            return -sum(
+                float(p) * (math.log2(p.numerator) - math.log2(p.denominator))
+                for _, p in d.items()
+                if p > 0
+            )
+
+        rng = random.Random(9)
+        cases = [uniform(range(1000))]
+        for _ in range(50):
+            values = [rng.randint(0, 40) for _ in range(rng.randint(1, 4))]
+            weights = [rng.choice(values) for _ in range(rng.randint(1, 2000))]
+            rng.shuffle(weights)
+            if sum(weights):
+                cases.append(DiscreteDistribution.from_weights(dict(enumerate(weights)), sum(weights)))
+        for d in cases:
+            assert entropy(d) == defining_sum(d)
+
+
 class TestFromWeights:
     def test_same_as_fraction_constructor(self):
         half = DiscreteDistribution({0: Fraction(1, 2), 1: Fraction(1, 2)})
@@ -132,6 +154,18 @@ class TestFromWeights:
     def test_rejections(self, weights, denominator, fragment):
         with pytest.raises(ValueError, match=fragment):
             DiscreteDistribution.from_weights(weights, denominator)
+
+    @pytest.mark.parametrize("bad", [-1, 1.0, Fraction(1), -(2**70)])
+    def test_first_bad_weight_named_after_many_valid(self, bad):
+        weights = dict.fromkeys(range(5000), 1)
+        weights[("bad", 0)] = bad
+        weights.update(dict.fromkeys(range(5000, 7000), 2))
+        weights[("bad", 1)] = -5
+        with pytest.raises(ValueError) as caught:
+            DiscreteDistribution.from_weights(weights, 9000)
+        assert str(caught.value) == (
+            f"weight {bad!r} for ('bad', 0) is not a nonnegative integer"
+        )
 
     @pytest.mark.parametrize("case", ["random", "zeros", "single", "huge"])
     def test_entropy_from_weights_bit_for_bit(self, case):
@@ -537,6 +571,55 @@ class TestGluedAgainstOracle:
             for guard in self.GUARD_LADDER:
                 _check_against_oracle(h, host_from_index(4, index), guard, outcomes)
         assert outcomes == {"glued", "refused"}
+
+
+    # Edge cases of the component crossing: one component, components of
+    # one state each, and isolated vertices numbered between the vertices
+    # of other components, so that the re-keying into vertex order matters.
+    def test_one_component(self):
+        spine = alternating_path(3)
+        hosts = [host_from_index(4, i) for i in range(host_count(4))]
+        hosts = [g for g in hosts if hom_forest(spine, g)]
+        outcomes = set()
+        for plan in ({}, {1: ClassCounts(xr=2, xb=1), 2: ClassCounts(xr=1, xb=2)}):
+            h = materialise(3, plan)
+            assert len(forest_orders(h.graph)) == 1
+            for g in hosts:
+                for guard in (20, 30_000):
+                    _check_against_oracle(h, g, guard, outcomes)
+        assert outcomes == {"glued", "refused"}
+
+    def test_components_of_one_state_each(self):
+        # The 2-edge path has exactly one homomorphism into this host, so
+        # every vertex of the forest has one image.
+        host = EdgeColouredGraph.make(3, [(0, 1, RED), (1, 2, BLUE)])
+        plan = {
+            0: ClassCounts(xr=1, y=1, aux=1),
+            1: ClassCounts(xr=1, xb=1, y=2, aux=2),
+            2: ClassCounts(xb=1, aux=1),
+        }
+        h = materialise(2, plan)
+        assert len(forest_orders(h.graph)) == 8
+        outcomes = set()
+        _check_against_oracle(h, host, 30_000, outcomes)
+        assert outcomes == {"glued"}
+        assert list(glued_distribution(h, alternating_path(2), host).items()) == [(h.phi, 1)]
+
+    def test_aux_vertices_between_components(self):
+        # Two copies of the 3-edge spine with isolated vertices before,
+        # between and after them in vertex order.
+        spine = alternating_path(3)
+        edges = [(u + 2, v + 2, c) for u, v, c in spine.edges]
+        edges += [(u + 8, v + 8, c) for u, v, c in spine.edges]
+        graph = EdgeColouredGraph.make(13, edges)
+        phi = (1, 3, 0, 1, 2, 3, 0, 2, 0, 1, 2, 3, 2)
+        roles = tuple(("spine", i) if 2 <= v < 6 else ("aux", phi[v]) for v, i in enumerate(phi))
+        h = LabelledForest(graph, roles, phi, 3)
+        assert [order[0][0] for order in forest_orders(graph)] == [0, 1, 2, 6, 7, 8, 12]
+        outcomes = set()
+        for index in (44, 156, 268, 412):
+            _check_against_oracle(h, host_from_index(4, index), 30_000, outcomes)
+        assert outcomes == {"glued"}
 
 
 def test_benchmark_support_count_matches_the_gluing(monkeypatch):

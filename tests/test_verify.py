@@ -150,6 +150,24 @@ class TestInequalityPair:
             report = check_eq_hp(h, 2, g)
             assert report.rhs == bound_odd(2) ** (e_h - 5) * t_p**5
 
+    def test_no_scale_where_the_path_has_no_homomorphisms(self, monkeypatch):
+        # With t(P) = 0 the forest-vs-path bound is 0 whatever the scale, so
+        # the scale's power is never formed for such a host.
+        def refuse(*args):
+            raise AssertionError("the forest-vs-path scale was formed")
+
+        monkeypatch.setattr(verify, "_bound_power", refuse)
+        h = build_h_odd(2)
+        spine = alternating_path(5)
+        hosts = [host_from_index(3, i) for i in range(host_count(3))]
+        hosts = [g for g in hosts if not hom_forest(spine, g)] + [EdgeColouredGraph(1, ())]
+        assert len(hosts) > 1
+        reports = verify.check_inequalities(h, 2, hosts)
+        assert len(reports) == 2 * len(hosts)
+        for report in reports[1::2]:
+            assert report.rhs == 0 and type(report.rhs) is Fraction
+            assert report.record()["rhs"] == "0/1"
+
     def test_built_forest_counted_from_its_blocks(self):
         # No vertex-by-vertex plan compile, which would read the edge tuples.
         forest = build_h_odd(4)
