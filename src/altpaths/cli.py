@@ -111,6 +111,8 @@ def cmd_verify_covering(args) -> int:
 def cmd_verify_ineq(args) -> int:
     forest = constructions.build_h_odd(args.k)
     if args.hosts == "random":
+        if args.count < 1:
+            raise ValueError(f"--count must be >= 1, got {args.count}")
         hosts = random_hosts(args.count, args.n_max, args.seed)
     else:
         from .ecgraph import enumerate_hosts, host_count

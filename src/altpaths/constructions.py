@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -347,16 +346,8 @@ class LabelledForest:
         # Reached only for an attribute missing from the instance: the role
         # and phi tuples of an array-built forest before their first read.
         if name == "roles" and "_role_arr" in self.__dict__:
-            # One tuple per run of equal rows (a class block), shared by the
-            # vertices of the run.
-            roles = self.__dict__["_role_arr"]
-            first = np.ones(len(roles), dtype=bool)
-            first[1:] = (roles[1:] != roles[:-1]).any(axis=1)
-            starts = np.flatnonzero(first)
-            runs = zip(roles[starts].tolist(), np.diff(starts, append=len(roles)).tolist())
-            value = tuple(
-                chain.from_iterable(repeat((ROLE_KINDS[kind], j), count) for (kind, j), count in runs)
-            )
+            kind, j = self.__dict__["_role_arr"].T.tolist()
+            value = tuple(zip(map(ROLE_KINDS.__getitem__, kind), j))
         elif name == "phi" and "_phi_arr" in self.__dict__:
             value = tuple(self.__dict__["_phi_arr"].tolist())
         else:
@@ -414,15 +405,13 @@ class LabelledForest:
 
 
 # The array build peaks at about 260 bytes of memory per edge (H_k at k = 8,
-# 10 and 12; building the tuples took about 385).  ``hom_forest`` compiles a
-# built forest's plan from its class blocks and reads no tuple, so
-# ``verify-ineq --k 12`` peaks at about 260 bytes per edge too (620 when the
-# plan was compiled vertex by vertex).  The cap stays where the tuple build
-# put it, because ``write_ecg`` and ``format_roles`` still read the tuples
-# (writing a forest peaks at about 310 bytes per edge).  H_15 (3,690,271
-# edges) builds and H_16 (5,035,569) is refused; moving this cap or
-# ``covering._MATERIALISE_CAP`` would change exit codes and the method that
-# ``verify-covering`` picks by default.
+# 10 and 12; building the tuples took about 385).  No command reads a built
+# forest's tuples: ``hom_forest`` compiles its plan from the class blocks and
+# ``format_ecg`` and ``format_roles`` read the columns, so ``verify-ineq`` and
+# ``construct`` at k = 12 peak at about 260 bytes per edge too (340 MB for
+# ``construct``).  H_15 (3,690,271 edges) builds and H_16 (5,035,569) is
+# refused; moving this cap or ``covering._MATERIALISE_CAP`` would change exit
+# codes and the method that ``verify-covering`` picks by default.
 _MATERIALISE_EDGES = 5_000_000
 
 
@@ -616,9 +605,17 @@ def fixture(name: str) -> LabelledForest:
 # -- sidecar serialization -------------------------------------------------
 
 def format_roles(f: LabelledForest) -> str:
-    lines = [
-        f"v {v} {kind} {j} {f.phi[v]}" for v, (kind, j) in enumerate(f.roles)
-    ]
+    """The ``.roles`` text of a forest, formatted from the columns of
+    ``role_array()`` and ``phi_array()``, so no role or phi tuple is built.
+    ValueError for what ``parse_roles`` would reject: a role outside
+    ``ROLE_KINDS`` or an image outside the spine."""
+    roles = f.role_array()
+    bad = np.flatnonzero((roles[:, 0] < 0) | (roles[:, 0] >= len(ROLE_KINDS)))
+    if bad.size:
+        raise ValueError(f"unknown role for vertex {bad[0]}, expected one of {ROLE_KINDS}")
+    kind, j = roles.T.tolist()
+    phi = f.phi_array().tolist()
+    lines = map("v {} {} {} {}".format, range(len(kind)), map(ROLE_KINDS.__getitem__, kind), j, phi)
     return "\n".join(lines) + "\n"
 
 

@@ -309,6 +309,9 @@ def verify_covering_range(
     k_max: int, method: str = "auto", workers: int = 1
 ) -> list[CoveringReport]:
     """Covering verification for k = 1..k_max; independent k values may fan
-    out over worker processes, with reports returned in k order either way."""
+    out over worker processes, with reports returned in k order either way;
+    ValueError for k_max < 1, which would check nothing."""
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
     jobs = [(k, method) for k in range(1, k_max + 1)]
     return parallel_map(_covering_worker, jobs, workers)

@@ -8,7 +8,6 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
-import gc
 import os
 import random
 from dataclasses import dataclass
@@ -41,6 +40,7 @@ class Colour(IntEnum):
 RED = Colour.RED
 BLUE = Colour.BLUE
 _COLOURS = (RED, BLUE)
+_LETTERS = {c: c.letter for c in _COLOURS}
 
 Edge = tuple[int, int, Colour]
 
@@ -71,17 +71,8 @@ class EdgeColouredGraph:
         arr = self.__dict__.get("_edge_arr")
         if name != "edges" or arr is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        # The collector is held off while the tuples are made: they hold
-        # only ints and colours, so no cycle can form, and otherwise about
-        # three quarters of the time went to collections the new tuples set off.
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            u, v, c = arr.T.tolist()
-            edges = tuple(zip(u, v, map(_COLOURS.__getitem__, c)))
-        finally:
-            if collecting:
-                gc.enable()
+        u, v, c = arr.T.tolist()
+        edges = tuple(zip(u, v, map(_COLOURS.__getitem__, c)))
         object.__setattr__(self, "edges", edges)
         return edges
 
@@ -422,9 +413,19 @@ def random_hosts(count: int, n_max: int, seed: int) -> list[EdgeColouredGraph]:
 # -- .ecg text format ----------------------------------------------------
 
 def format_ecg(g: EdgeColouredGraph) -> str:
+    """The ``.ecg`` text of a graph, formatted from the columns of
+    ``edge_array()``, so no edge tuple is built."""
+    u, v, c = g.edge_array().T.tolist()
     lines = ["ecg 1", f"n {g.n}"]
-    lines.extend(f"e {u} {v} {c.letter}" for u, v, c in g.edges)
+    lines.extend(map("e {} {} {}".format, u, v, map(_LETTERS.__getitem__, c)))
     return "\n".join(lines) + "\n"
+
+
+# ``parse_ecg`` refuses a larger vertex count before it builds anything per
+# vertex.  The cap admits H_15 (3,809,312 vertices), the largest forest
+# ``construct`` writes.  An edgeless host at the cap peaks at about 1.1 GB in
+# ``hom`` (about 260 bytes per vertex).
+_MAX_VERTICES = 4_000_000
 
 
 def parse_ecg(text: str) -> EdgeColouredGraph:
@@ -437,6 +438,10 @@ def parse_ecg(text: str) -> EdgeColouredGraph:
         n = int(lines[1].split()[1])
     except (IndexError, ValueError):
         raise ValueError(f"malformed vertex count line {lines[1]!r}") from None
+    if n > _MAX_VERTICES:
+        raise BudgetExceeded(
+            f"{n} vertices exceed the .ecg vertex cap of {_MAX_VERTICES}", required=n
+        )
     edges = []
     for ln in lines[2:]:
         parts = ln.split()

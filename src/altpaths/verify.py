@@ -74,11 +74,15 @@ class InequalityReport:
 
 def bound_odd(k: int) -> Fraction:
     """Density ceiling for the odd alternating path: k^k (k+1)^(k+1) / (2k+1)^(2k+1)."""
+    if k < 0:
+        raise ValueError(f"pattern k must be nonnegative, got {k}")
     return Fraction(k**k * (k + 1) ** (k + 1), (2 * k + 1) ** (2 * k + 1))
 
 
 def bound_even(k: int) -> Fraction:
     """Density ceiling for the even alternating path: (1/2)^(2k)."""
+    if k < 0:
+        raise ValueError(f"pattern k must be nonnegative, got {k}")
     return Fraction(1, 4**k)
 
 

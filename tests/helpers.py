@@ -383,3 +383,20 @@ def exhaustive_max_oracle(pattern: EdgeColouredGraph, n: int):
             best_hom, best_index = value, index
     best_host = host_from_index(n, best_index)
     return density(pattern, best_host), best_index, best_host
+
+
+def format_ecg_oracle(g: EdgeColouredGraph) -> str:
+    """The ``.ecg`` writer as it was before it read the edge array: one
+    line per edge tuple."""
+    lines = ["ecg 1", f"n {g.n}"]
+    lines.extend(f"e {u} {v} {c.letter}" for u, v, c in g.edges)
+    return "\n".join(lines) + "\n"
+
+
+def format_roles_oracle(f) -> str:
+    """The ``.roles`` writer as it was before it read the role and phi
+    arrays: one line per role tuple."""
+    lines = [
+        f"v {v} {kind} {j} {f.phi[v]}" for v, (kind, j) in enumerate(f.roles)
+    ]
+    return "\n".join(lines) + "\n"

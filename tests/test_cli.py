@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import altpaths
+from altpaths import constructions, covering, lpsearch
 from altpaths.cli import main
 from altpaths.constructions import alternating_path, parse_roles
 from altpaths.ecgraph import BLUE, RED, EdgeColouredGraph, host_from_index, read_ecg, write_ecg
@@ -150,6 +151,22 @@ class TestPinnedOutputs:
             "1e63300754d9d7bbb3e3328500da12b88406ab7b9ac84cef06213c4cbda53d83"
         )
 
+    @pytest.mark.parametrize("argv, ecg_sha, roles_sha", [
+        (["construct", "--fixture", "H5"],
+         "d1ce99fefcad66cd9f31a752814d65da8c0aa651d9005d58fe8ff2d0cb6539d4",
+         "a32b5e384c72216102acc2a925b8bb14e1e7f35bbd3efe41dc418434e78f47ec"),
+        (["construct", "--even", "--k", "3"],
+         "e47c7af91db3cdbf391f7c51496a8a2dd9221d6673697f4acd246c5c93f166cf",
+         "f96c727ad5127708c7f3d2c07c963cfea21742be3810dfae6827ce6b9ca8d633"),
+        (["lp-search", "--k", "3"],
+         "d53ff57f419cc7bce1f7ab79f5338dc69adc540947fd4bfe6786585a2e0da3bc",
+         "43ad64d6d88f585ee7b38d4045cf4a3814068cc95a79bdef52a69997b10407f5"),
+    ])
+    def test_forest_files(self, tmp_path, argv, ecg_sha, roles_sha):
+        assert main([*argv, "--out", str(tmp_path / "f.ecg")]) == 0
+        assert self.digest(tmp_path / "f.ecg") == ecg_sha
+        assert self.digest(tmp_path / "f.roles") == roles_sha
+
     @pytest.mark.parametrize("name, stdout_sha, json_sha", [
         ("H3_small",
          "6d88ccd3cfade25658dacd86a1c1175c7d9912d6b06626342b687bec9c6d502e",
@@ -285,6 +302,32 @@ class TestEntropyCheck:
         assert json.loads(report.read_text())["glued_ok"] is None
 
 
+def test_commands_leave_built_forest_tuples_unbuilt(tmp_path, monkeypatch):
+    # The writers, the inequality checks and the tuples tally read a built
+    # forest's arrays only: no edge, role or phi tuple is made.
+    built = []
+    real = constructions.materialise
+
+    def kept(length, plan):
+        forest = real(length, plan)
+        built.append(forest)
+        return forest
+
+    for module in (constructions, covering, lpsearch):
+        monkeypatch.setattr(module, "materialise", kept)
+    for command in (
+        f"construct --k 6 --out {tmp_path / 'h13.ecg'}",
+        f"lp-search --k 3 --out {tmp_path / 'lp3.ecg'}",
+        "verify-ineq --k 2 --hosts random --count 5",
+        "verify-covering --k-max 6 --method tuples",
+    ):
+        assert main(command.split()) == 0
+    assert len(built) == 1 + 1 + 1 + 6
+    for forest in built:
+        assert "edges" not in vars(forest.graph)
+        assert "roles" not in vars(forest) and "phi" not in vars(forest)
+
+
 class TestErrorPaths:
     def test_malformed_ecg_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ecg"
@@ -306,6 +349,12 @@ class TestErrorPaths:
         ("lp-search --k 1", '[1]'),
         ("lp-search --k 1", '{"coeffs": {}}'),
         ("lp-search --k 1", '[{"coeffs": {"x1": "1"}, "rhs": "1/0"}]'),
+        ("bound-check --pattern-k -1 --odd --exhaustive 3", None),
+        ("bound-check --pattern-k -1 --even --exhaustive 3", None),
+        ("bound-check --pattern-k -1 --odd --tightness 6", None),
+        ("verify-covering --k-max 0", None),
+        ("verify-covering --k-max -2", None),
+        ("verify-ineq --k 1 --hosts random --count -3", None),
     ])
     def test_bad_input_exits_2(self, tmp_path, capsys, command, extra):
         argv = command.split()
@@ -316,6 +365,19 @@ class TestErrorPaths:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("command", [
+        "hom --pattern {p3} --host {big}",
+        "density --pattern {p3} --host {big}",
+        "entropy-check --fixture H3_small --host {big}",
+    ])
+    def test_huge_vertex_count_refused(self, tmp_path, capsys, p3_file, command):
+        # Refused from the header, before an adjacency list of 3e9 vertices.
+        big = tmp_path / "big.ecg"
+        big.write_text("ecg 1\nn 3000000000\n")
+        assert main(command.format(p3=p3_file, big=big).split()) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("budget refusal: ") and err.count("\n") == 1, err
 
     def test_installed_entry_point(self, tmp_path):
         # The child imports the package from where this process found it, so

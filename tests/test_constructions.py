@@ -32,10 +32,12 @@ from altpaths.constructions import (
     sequences,
     spine_colour,
 )
-from altpaths.ecgraph import BLUE, RED, BudgetExceeded, Colour, EdgeColouredGraph, validate
+from altpaths.ecgraph import BLUE, RED, BudgetExceeded, Colour, EdgeColouredGraph, format_ecg, validate
 from altpaths.homcount import is_forest
 from helpers import (
     class_blocks_oracle,
+    format_ecg_oracle,
+    format_roles_oracle,
     materialise_oracle,
     random_plan,
     random_triple,
@@ -338,11 +340,14 @@ class TestImagesOutsideSpine:
         phi = list(f.phi)
         phi[aux] = image
         bad = LabelledForest(f.graph, f.roles, tuple(phi), f.spine_edges)
-        for check in (homomorphism_violation, cover_profile):
+        for check in (homomorphism_violation, cover_profile, format_roles):
             with pytest.raises(ValueError, match=f"image {image} of vertex {aux} outside spine"):
                 check(bad)
+        # The writer refuses such a forest, so the reader gets a written line.
+        lines = format_roles(f).splitlines()
+        lines[aux] = f"v {aux} aux 1 {image}"
         with pytest.raises(ValueError, match="outside spine"):
-            parse_roles(format_roles(bad), f.graph)
+            parse_roles("\n".join(lines) + "\n", f.graph)
 
     def test_first_bad_edge_in_edge_order(self):
         h = build_h_odd(1)
@@ -479,6 +484,58 @@ class TestPlans:
             materialise(2 * k + 1, plan)
 
 
+class TestWritersMatchTupleWriters:
+    """``format_ecg`` and ``format_roles`` read the array columns; the
+    oracles are the writers that read the edge, role and phi tuples."""
+
+    @staticmethod
+    def _assert_same_text(f: LabelledForest):
+        ecg, roles = format_ecg(f.graph), format_roles(f)
+        assert "edges" not in vars(f.graph)
+        assert "roles" not in vars(f) and "phi" not in vars(f)
+        assert ecg == format_ecg_oracle(f.graph)
+        assert roles == format_roles_oracle(f)
+
+    def test_paper_forests_fixtures_and_even_spines(self):
+        forests = [build_h_odd(k) for k in range(1, 11)]
+        forests += [fixture(name) for name in FIXTURE_NAMES]
+        forests += [build_h_even(k) for k in range(1, 5)]
+        for f in forests:
+            self._assert_same_text(f)
+
+    def test_random_plans_and_triples(self):
+        # 40 random plans that build (most draws do not), then 40 triples.
+        rng = random.Random(1516)
+        built = draws = 0
+        while built < 40:
+            length = rng.choice((1, 3, 5, 7))
+            f = _built(materialise, length, random_plan(rng, length))
+            if isinstance(f, LabelledForest):
+                self._assert_same_text(f)
+                built += 1
+            draws += 1
+            assert draws < 1000
+        for _ in range(40):
+            s = random_triple(rng)
+            self._assert_same_text(materialise(2 * s.k + 1, plan_odd(s.k, s)))
+
+    def test_tuple_built_and_empty_forests(self):
+        f = fixture("H5")
+        twin = LabelledForest(f.graph, f.roles, f.phi, f.spine_edges)
+        assert format_roles(twin) == format_roles_oracle(twin) == format_roles(f)
+        empty = EdgeColouredGraph.make(0, [])
+        self._assert_same_text(
+            LabelledForest.from_arrays(
+                EdgeColouredGraph.from_edge_array(0, np.empty((0, 3), dtype=np.int64)),
+                np.empty((0, 2), dtype=np.int64),
+                np.empty(0, dtype=np.int64),
+                0,
+            )
+        )
+        forest = LabelledForest(empty, (), (), 0)
+        assert format_roles(forest) == format_roles_oracle(forest) == "\n"
+
+
 class TestSidecar:
     def test_round_trip(self):
         for name in ("H3_small", "H5"):
@@ -491,6 +548,17 @@ class TestSidecar:
         text = "\n".join(format_roles(f).splitlines()[:-1]) + "\n"
         with pytest.raises(ValueError, match="missing role"):
             parse_roles(text, f.graph)
+
+    def test_writer_refuses_an_unknown_role(self):
+        # role_array codes the role -1, which must not be written as the
+        # last kind, aux, on either kind of forest.
+        f = fixture("H3_small")
+        roles = (("foo", 0),) + f.roles[1:]
+        bad = LabelledForest(f.graph, roles, f.phi, f.spine_edges)
+        assert bad.role_array()[0, 0] == -1
+        for forest in (bad, LabelledForest.from_arrays(f.graph, bad.role_array(), f.phi_array(), 3)):
+            with pytest.raises(ValueError, match="unknown role for vertex 0"):
+                format_roles(forest)
 
     def test_unknown_role_rejected(self):
         # role_array would code the role -1 and recompute_phi would treat

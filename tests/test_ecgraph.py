@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altpaths.constructions import alternating_path
+from altpaths.constructions import alternating_path, plan_odd, plan_sizes, sequences
 from altpaths.ecgraph import (
     BLUE,
     RED,
+    BudgetExceeded,
     Colour,
     EdgeColouredGraph,
     _complete_adjacencies,
@@ -25,9 +26,10 @@ from altpaths.ecgraph import (
     symmetric_residues,
     validate,
     worker_count,
+    _MAX_VERTICES,
 )
 from altpaths.homcount import hom_forest
-from helpers import brute_two_walks, random_graph
+from helpers import brute_two_walks, format_ecg_oracle, random_graph
 
 TRIANGLE = EdgeColouredGraph.make(3, [(0, 1, RED), (1, 2, BLUE), (0, 2, RED)])
 
@@ -202,6 +204,31 @@ class TestEcgFormat:
         for _ in range(50):
             g = random_host(rng.randint(0, 8), rng)
             assert parse_ecg(format_ecg(g)) == g
+
+    def test_matches_the_tuple_writer(self):
+        # Byte for byte against the writer that read the edge tuples, on
+        # tuple-built graphs and on their array-built twins.
+        rng = random.Random(1515)
+        graphs = [random_graph(rng, rng.randint(0, 9)) for _ in range(60)]
+        graphs += [EdgeColouredGraph.make(5, []), EdgeColouredGraph.make(0, []), TRIANGLE]
+        for g in graphs:
+            twin = EdgeColouredGraph.from_edge_array(g.n, g.edge_array().copy())
+            text = format_ecg(twin)
+            assert "edges" not in vars(twin)
+            assert text == format_ecg(g) == format_ecg_oracle(g)
+        assert format_ecg(EdgeColouredGraph.make(0, [])) == "ecg 1\nn 0\n"
+
+    def test_vertex_cap(self):
+        # Refused from the header alone, before anything is built per vertex.
+        # The cap admits H_15, the largest forest the materialise cap lets
+        # ``construct`` write.
+        assert plan_sizes(31, plan_odd(15, sequences(15)))[0] == 3_809_312 <= _MAX_VERTICES
+        assert parse_ecg(f"ecg 1\nn {_MAX_VERTICES}\n").n == _MAX_VERTICES
+        with pytest.raises(BudgetExceeded, match="vertex cap") as err:
+            parse_ecg("ecg 1\nn 3000000000\n")
+        assert err.value.required == 3_000_000_000
+        with pytest.raises(BudgetExceeded):
+            parse_ecg(f"ecg 1\nn {_MAX_VERTICES + 1}\n")
 
     @pytest.mark.parametrize(
         "text,fragment",
