@@ -404,14 +404,15 @@ class LabelledForest:
         return phi
 
 
-# The array build peaks at about 260 bytes of memory per edge (H_k at k = 8,
-# 10 and 12; building the tuples took about 385).  No command reads a built
-# forest's tuples: ``hom_forest`` compiles its plan from the class blocks and
-# ``format_ecg`` and ``format_roles`` read the columns, so ``verify-ineq`` and
-# ``construct`` at k = 12 peak at about 260 bytes per edge too (340 MB for
-# ``construct``).  H_15 (3,690,271 edges) builds and H_16 (5,035,569) is
-# refused; moving this cap or ``covering._MATERIALISE_CAP`` would change exit
-# codes and the method that ``verify-covering`` picks by default.
+# The array build and its phi self-check peak at about 95 traced bytes per
+# edge (H_k at k = 8, 10 and 12), 49 of them the built forest.  No command
+# reads a built forest's tuples: ``hom_forest`` compiles its plan from the
+# class blocks and ``format_ecg`` and ``format_roles`` read the columns.  At
+# k = 12 ``verify-ineq`` peaks at 155 MB RSS and ``construct`` at 285 MB, most
+# of it in ``format_ecg``.  H_15 (3,690,271 edges) builds and H_16 (5,035,569)
+# is refused.  The cap stays although a build at it needs only about 475 MB:
+# moving it or ``covering._MATERIALISE_CAP`` would change exit codes and the
+# method that ``verify-covering`` picks by default.
 _MATERIALISE_EDGES = 5_000_000
 
 
@@ -457,8 +458,8 @@ def materialise(length: int, plan: Plan) -> LabelledForest:
     # compiles its plan from them (``homcount._block_plan``).
     object.__setattr__(graph, "_blocks", (vblocks, eblocks))
     forest = LabelledForest.from_arrays(graph, roles, phi, length)
-    # Compared with a throwaway tuple, so the forest's phi tuple stays unbuilt.
-    if recompute_phi(forest) != tuple(phi.tolist()):
+    # Compared as arrays, so the forest's phi tuple stays unbuilt.
+    if not np.array_equal(recompute_phi(forest), phi):
         raise ValueError("materialised phi differs from the images its pins force")
     return forest
 
@@ -475,6 +476,30 @@ def homomorphism_violation(f: LabelledForest) -> Optional[tuple[int, int, Colour
     return u, v, Colour(c)
 
 
+def _half_edges(e: np.ndarray, n: int, index: type) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The half-edge table of an edge array: heads and int8 colours grouped
+    by tail vertex, in half-edge order within a group (half-edge ``h`` leaves
+    edge ``h`` from its ``u`` end, half-edge ``m + h`` from its ``v`` end),
+    and the ``n + 1`` group offsets, all of integer type ``index``."""
+    m = len(e)
+    degree = np.bincount(e[:, 0], minlength=n) + np.bincount(e[:, 1], minlength=n)
+    offsets = np.zeros(n + 1, dtype=index)
+    np.cumsum(degree, out=offsets[1:])
+    tails = np.empty(2 * m, dtype=index)
+    tails[:m], tails[m:] = e[:, 0], e[:, 1]
+    order = np.argsort(tails, kind="stable")
+    del tails
+    edge = np.remainder(order, m, out=np.empty(2 * m, dtype=index), casting="unsafe")
+    del order
+    # A head is its tail XOR its edge's u ^ v, and the tails in group order
+    # are the vertices, each repeated by its degree.
+    heads = np.bitwise_xor(e[:, 0], e[:, 1], out=np.empty(m, dtype=index), casting="unsafe")[edge]
+    colours = e[:, 2].astype(np.int8)[edge]
+    del edge
+    heads ^= np.repeat(np.arange(n, dtype=index), degree)
+    return heads, colours, offsets
+
+
 def recompute_phi(f: LabelledForest) -> tuple[int, ...]:
     """Re-derive phi by constraint propagation from the pinned vertices.
 
@@ -485,12 +510,16 @@ def recompute_phi(f: LabelledForest) -> tuple[int, ...]:
 
     The walk goes round by round over half-edges grouped by their tail
     vertex: each round reads only the half-edges of the vertices first
-    forced in the round before, so every half-edge is read once.
+    forced in the round before, so every half-edge is read once.  Indices
+    and images are int32 whenever the vertex count, twice the edge count
+    and the spine length are all below 2**31.
     """
     length = f.spine_edges
     n = f.graph.n
-    steps = _spine_steps(length)
-    image = np.full(n, -1, dtype=np.int64)
+    e = f.graph.edge_array()
+    index = np.int32 if max(n, 2 * len(e), length) < 2**31 else np.int64
+    steps = _spine_steps(length).astype(index)
+    image = np.full(n, -1, dtype=index)
     roles = f.role_array()
     pinned = np.flatnonzero(np.isin(roles[:, 0], _PINNED_CODES))
     at = roles[pinned, 1]
@@ -499,38 +528,44 @@ def recompute_phi(f: LabelledForest) -> tuple[int, ...]:
         i = outside[0]
         raise ValueError(f"pinned image {at[i]} of vertex {pinned[i]} outside spine 0..{length}")
     image[pinned] = at
-    e = f.graph.edge_array()
-    tails = np.concatenate([e[:, 0], e[:, 1]])
-    order = np.argsort(tails, kind="stable")
-    heads = np.concatenate([e[:, 1], e[:, 0]])[order]
-    colours = np.concatenate([e[:, 2], e[:, 2]])[order]
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tails, minlength=n), out=offsets[1:])
-    slot = np.empty(n, dtype=np.int64)
+    heads, colours, offsets = _half_edges(e, n, index)
+    slot = np.empty(n, dtype=index)
     frontier = np.flatnonzero(image >= 0)
     while frontier.size:
+        # The frontier's half-edges, group after group (np.repeat takes its
+        # counts as intp).  Each temporary is dropped once read, so a round
+        # holds few arrays of its half-edge count at once.
         first = offsets[frontier]
-        degree = offsets[frontier + 1] - first
-        ends = np.cumsum(degree)
-        half = np.arange(ends[-1]) + np.repeat(first - ends + degree, degree)
-        w, c = heads[half], colours[half]
+        degree = np.subtract(offsets[frontier + 1], first, dtype=np.intp)
         at = np.repeat(image[frontier], degree)
+        del frontier
+        first -= np.cumsum(degree, dtype=index)
+        first += degree
+        half = np.repeat(first, degree)
+        del first, degree
+        half += np.arange(half.size, dtype=index)
+        w, c = heads[half], colours[half]
+        del half
         forced = steps[c, at]
         stuck = np.flatnonzero(forced < 0)
         if stuck.size:
             i = stuck[0]
             raise ValueError(f"no spine edge of colour {Colour(c[i]).letter} at image {at[i]}")
+        del c, at
         fresh = image[w] < 0
         new = w[fresh]
         image[new] = forced[fresh]
+        del fresh
         clash = np.flatnonzero(image[w] != forced)
         if clash.size:
             raise ValueError(f"contradictory forced images for vertex {w[clash[0]]}")
+        del w, forced
         # Deduplicate in linear time: of the positions that write one vertex,
         # exactly one finds its own index stored there afterwards.
-        rank = np.arange(new.size)
+        rank = np.arange(new.size, dtype=index)
         slot[new] = rank
         frontier = new[slot[new] == rank]
+        del new, rank
     unassigned = np.flatnonzero(image < 0)
     if unassigned.size:
         raise ValueError(f"spine image not forced for vertices {unassigned[:5].tolist()}")

@@ -62,7 +62,16 @@ class DiscreteDistribution:
         cls, weights: Mapping[Hashable, int], denominator: int
     ) -> "DiscreteDistribution":
         """Outcome -> w / denominator, for nonnegative integer weights that
-        sum to the denominator; checked in integers, in the mapping's order."""
+        sum to the denominator; checked in integers, in the mapping's order.
+        The distribution keeps a copy of the mapping."""
+        d = cls._adopt(weights, denominator)
+        d._mass = dict(weights)
+        return d
+
+    @classmethod
+    def _adopt(cls, weights: dict, denominator: int) -> "DiscreteDistribution":
+        """``from_weights`` that keeps the dict itself: for a dict built
+        for the new distribution alone, which a copy would only double."""
         if not isinstance(denominator, int) or denominator <= 0:
             raise ValueError(f"denominator {denominator!r} is not a positive integer")
         values = weights.values()
@@ -74,7 +83,7 @@ class DiscreteDistribution:
         if total != denominator:
             raise ValueError(f"weights sum to {total}, not the denominator {denominator}")
         d = cls.__new__(cls)
-        d._mass = dict(weights)
+        d._mass = weights
         d._denominator = denominator
         return d
 
@@ -97,7 +106,7 @@ class DiscreteDistribution:
         for outcome, w in self._mass.items():
             key = tuple(outcome[i] for i in idx)
             out[key] = out.get(key, 0) + w
-        return DiscreteDistribution.from_weights(out, self._denominator)
+        return DiscreteDistribution._adopt(out, self._denominator)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiscreteDistribution):
@@ -114,7 +123,7 @@ def uniform(outcomes: Iterable[Hashable]) -> DiscreteDistribution:
     pool = list(outcomes)
     if not pool:
         raise EmptySupport("cannot build a uniform distribution on nothing")
-    return DiscreteDistribution.from_weights(dict.fromkeys(pool, 1), len(pool))
+    return DiscreteDistribution._adopt(dict.fromkeys(pool, 1), len(pool))
 
 
 def entropy(d: DiscreteDistribution) -> float:
@@ -196,7 +205,7 @@ def glue(joint: DiscreteDistribution) -> DiscreteDistribution:
         for (a, b1, b2, c), w in joint._mass.items() if w
         for cp, f in rows[b1]
     }
-    return DiscreteDistribution.from_weights(out, joint._denominator * lcm)
+    return DiscreteDistribution._adopt(out, joint._denominator * lcm)
 
 
 # -- uniform homomorphism distributions ------------------------------------
@@ -466,7 +475,7 @@ def glued_distribution(
     walked = {v: i for i, (v, _) in enumerate(pair for order in orders for pair in order)}
     perm = [walked[v] for v in range(h.graph.n)]
     key_of = itemgetter(*perm) if len(perm) > 1 else tuple
-    return DiscreteDistribution.from_weights(dict(zip(map(key_of, images), weights)), denominator)
+    return DiscreteDistribution._adopt(dict(zip(map(key_of, images), weights)), denominator)
 
 
 def closed_form_entropy(

@@ -15,8 +15,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product, repeat
-from typing import Optional
+from itertools import chain, groupby, product, repeat
+from operator import itemgetter
+from typing import Iterable, Optional
 
 from .ecgraph import BudgetExceeded, EdgeColouredGraph, require_valid
 
@@ -104,13 +105,20 @@ class _Plan:
 
     ``steps`` lists the distinct rooted subtree shapes, children before
     parents; a step is a tuple of (edge colour, child step, multiplicity).
-    ``vertex_step[v]`` is the step of the subtree below pattern vertex v, and
-    ``roots`` pairs each distinct component shape with its count.
+    ``vertex_runs`` gives the step of the subtree below each pattern vertex
+    as maximal (step, count) runs in vertex order, and ``roots`` pairs each
+    distinct component shape with its count.
     """
 
     steps: tuple[tuple[tuple[int, int, int], ...], ...]
-    vertex_step: tuple[int, ...]
+    vertex_runs: tuple[tuple[int, int], ...]
     roots: tuple[tuple[int, int], ...]
+
+
+def _runs(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Positive-count (step, count) pairs with neighbours of one step merged:
+    maximal runs, so equal step sequences give equal runs."""
+    return tuple((sid, sum(map(itemgetter(1), run))) for sid, run in groupby(pairs, itemgetter(0)))
 
 
 def _plan(h: EdgeColouredGraph) -> _Plan:
@@ -142,7 +150,7 @@ def _vertex_plan(h: EdgeColouredGraph) -> _Plan:
             colour = colour_of[(v, parent) if v < parent else (parent, v)]
             children[parent].append((int(colour), sid))
     roots = Counter(vertex_step[order[0][0]] for order in orders)
-    return _Plan(tuple(step_ids), tuple(vertex_step), tuple(roots.items()))
+    return _Plan(tuple(step_ids), _runs(zip(vertex_step, repeat(1))), tuple(roots.items()))
 
 
 def _block_plan(vblocks, eblocks) -> _Plan:
@@ -173,9 +181,8 @@ def _block_plan(vblocks, eblocks) -> _Plan:
     for b, vb in enumerate(vblocks):
         if parent[b] is None:
             roots[block_step[b]] += vb.count
-    runs = (repeat(sid, vb.count) for sid, vb in zip(block_step, vblocks))
-    vertex_step = tuple(chain.from_iterable(runs))
-    return _Plan(tuple(step_ids), vertex_step, tuple(roots.items()))
+    runs = _runs((sid, vb.count) for sid, vb in zip(block_step, vblocks))
+    return _Plan(tuple(step_ids), runs, tuple(roots.items()))
 
 
 def _step_tables(plan: _Plan, gadj) -> list[list[int]]:
@@ -215,7 +222,7 @@ def rooted_tables(h: EdgeColouredGraph, g: EdgeColouredGraph) -> list[list[int]]
     plan = _plan(h)
     require_valid(g)
     tables = _step_tables(plan, g.adjacency())
-    return [tables[sid] for sid in plan.vertex_step]
+    return list(chain.from_iterable(repeat(tables[sid], count) for sid, count in plan.vertex_runs))
 
 
 def hom_forest(h: EdgeColouredGraph, g: EdgeColouredGraph) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .constructions import LabelledForest, alternating_path
 from .covering import cover_profile
@@ -93,16 +93,14 @@ def _bound_power(k: int, exponent: int) -> Fraction:
     return bound_odd(k) ** exponent
 
 
-def check_inequalities(
+def _densities(
     h: LabelledForest, k: int, hosts: Iterable[EdgeColouredGraph]
-) -> list[InequalityReport]:
-    """Both density inequalities on each host, path-vs-forest then
-    forest-vs-path per host.
+) -> Iterator[tuple[str, int, Fraction, Fraction]]:
+    """Per host: its canonical key, e(H), t(P) and t(H)^e(P), the figures
+    both density inequalities are formed from.
 
-    t(P)^(1/e(P)) <= t(H)^(1/e(H)) is checked as t(P)^e(H) <= t(H)^e(P), and
-    t(H) <= c^(e(H)-e(P)) t(P) with the irrational constant c cleared by
-    raising both sides to the power 2k+1.  Both need a uniformly covering
-    spine homomorphism, checked once; t(P) and t(H) are counted once per host.
+    Both need a uniformly covering spine homomorphism, checked once, before
+    the first host; t(P) and t(H) are counted once per host.
     """
     if h.spine_edges != 2 * k + 1:
         raise ValueError(f"forest spine has {h.spine_edges} edges, expected {2 * k + 1}")
@@ -113,30 +111,51 @@ def check_inequalities(
             f"uniformly covering spine homomorphism (profile {profile})"
         )
     spine = alternating_path(2 * k + 1)
-    e_p = 2 * k + 1
     e_h = h.graph.num_edges()
-    reports = []
     for g in hosts:
         t_p = density(spine, g)
         # Not density(): H must be a forest, and hom() would brute-force a cyclic H.
         t_h = Fraction(hom_forest(h.graph, g), g.n ** h.graph.n)
-        t_h_e_p = t_h**e_p
-        # The scale's power is costly at large k, and with t(P) = 0 the bound is 0 without it.
-        bound = _bound_power(k, e_h - e_p) * t_p**e_p if t_p else Fraction(0)
-        key = g.canonical_key()
-        reports.append(InequalityReport("path-vs-forest", k, key, t_p**e_h, t_h_e_p))
-        reports.append(InequalityReport("forest-vs-path", k, key, t_h_e_p, bound))
+        yield g.canonical_key(), e_h, t_p, t_h ** (2 * k + 1)
+
+
+def _path_vs_forest(
+    k: int, key: str, e_h: int, t_p: Fraction, t_h_e_p: Fraction
+) -> InequalityReport:
+    """t(P)^(1/e(P)) <= t(H)^(1/e(H)), checked as t(P)^e(H) <= t(H)^e(P)."""
+    return InequalityReport("path-vs-forest", k, key, t_p**e_h, t_h_e_p)
+
+
+def _forest_vs_path(
+    k: int, key: str, e_h: int, t_p: Fraction, t_h_e_p: Fraction
+) -> InequalityReport:
+    """t(H) <= c^(e(H)-e(P)) t(P), the irrational constant c cleared by
+    raising both sides to the power e(P) = 2k+1."""
+    e_p = 2 * k + 1
+    # The scale's power is costly at large k, and with t(P) = 0 the bound is 0 without it.
+    bound = _bound_power(k, e_h - e_p) * t_p**e_p if t_p else Fraction(0)
+    return InequalityReport("forest-vs-path", k, key, t_h_e_p, bound)
+
+
+def check_inequalities(
+    h: LabelledForest, k: int, hosts: Iterable[EdgeColouredGraph]
+) -> list[InequalityReport]:
+    """Both density inequalities on each host, path-vs-forest then
+    forest-vs-path per host, from one count of t(P) and t(H) per host."""
+    reports = []
+    for figures in _densities(h, k, hosts):
+        reports += (_path_vs_forest(k, *figures), _forest_vs_path(k, *figures))
     return reports
 
 
 def check_eq_ph(h: LabelledForest, k: int, g: EdgeColouredGraph) -> InequalityReport:
     """The path-vs-forest half of check_inequalities on one host."""
-    return check_inequalities(h, k, [g])[0]
+    return _path_vs_forest(k, *next(_densities(h, k, [g])))
 
 
 def check_eq_hp(h: LabelledForest, k: int, g: EdgeColouredGraph) -> InequalityReport:
     """The forest-vs-path half of check_inequalities on one host."""
-    return check_inequalities(h, k, [g])[1]
+    return _forest_vs_path(k, *next(_densities(h, k, [g])))
 
 
 def check_theorem_odd(k: int, g: EdgeColouredGraph) -> InequalityReport:

@@ -1,7 +1,9 @@
+import gc
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from altpaths.constructions import (
     LabelledForest,
     SequenceTriple,
     _MATERIALISE_EDGES,
+    _half_edges,
     _spine_steps,
     alternating_path,
     build_h_even,
@@ -308,6 +311,27 @@ class TestRecomputePhi:
         # force a different but consistent phi.
         assert raised > 100 and moved > 100
 
+    def test_matches_oracle_on_built_spines(self):
+        for k in range(1, 7):
+            h = build_h_odd(k)
+            assert recompute_phi(h) == recompute_phi_oracle(h) == h.phi
+
+    def test_half_edge_table(self):
+        # Grouped by tail vertex, in half-edge order within a group, the same
+        # in either index type as the table of the concatenated half-edges.
+        f = fixture("H5")
+        n, e = f.graph.n, f.graph.edge_array()
+        tails = np.concatenate([e[:, 0], e[:, 1]])
+        order = np.argsort(tails, kind="stable")
+        heads = np.concatenate([e[:, 1], e[:, 0]])[order]
+        colours = np.concatenate([e[:, 2], e[:, 2]])[order]
+        offsets = np.concatenate([[0], np.cumsum(np.bincount(tails, minlength=n))])
+        for index in (np.int32, np.int64):
+            got = _half_edges(e, n, index)
+            assert [a.dtype for a in got] == [index, np.int8, index]
+            for a, b in zip(got, (heads, colours, offsets)):
+                assert np.array_equal(a, b)
+
     def test_deep_chain(self):
         # A 10,000-edge all-red chain hanging from v_0 of a one-edge spine:
         # the images alternate, and a walk that rescanned every edge in each
@@ -358,6 +382,20 @@ class TestImagesOutsideSpine:
         bad = LabelledForest(h.graph, h.roles, tuple(phi), h.spine_edges)
         first = next(e for e in h.graph.edges if leaves[-2] in e[:2])
         assert homomorphism_violation(bad) == first
+
+
+def test_materialise_memory_per_edge():
+    # The build and its phi self-check peak at about 95 traced bytes per
+    # edge of H_8 (187,289 edges), 49 of them the built forest.
+    plan = plan_odd(8, sequences(8))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        forest = materialise(17, plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 170 * forest.graph.num_edges()
 
 
 def test_materialise_check_survives_optimised_mode():

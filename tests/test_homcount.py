@@ -155,6 +155,15 @@ class TestBlockPlan:
             assert "edges" not in forest.graph.__dict__
             assert plan == _plan(_vertex_compiled(forest.graph))
 
+    def test_vertex_runs_are_kept_per_block(self):
+        # The subtree step of each vertex is kept as runs over the vertex
+        # blocks, not as one entry per vertex.
+        forest = build_h_odd(10)
+        plan = _plan(forest.graph)
+        vblocks, _ = forest.graph.__dict__["_blocks"]
+        assert sum(count for _, count in plan.vertex_runs) == forest.graph.n
+        assert len(plan.vertex_runs) <= len(vblocks) < 1000
+
     def test_equal_hom_on_every_host_up_to_four_vertices(self):
         assert len([g for g in self.SMALL_HOSTS if g.n == 4]) == 729
         for forest in self.built_forests():

@@ -141,6 +141,21 @@ class TestInequalityPair:
                 assert check_eq_ph(h, k, g) == ph
                 assert check_eq_hp(h, k, g) == hp
 
+    def test_one_host_views_form_only_their_own_report(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the other half was formed")
+
+        h = build_h_odd(2)
+        hosts = random_hosts(12, 6, seed=72)
+        assert any(hom_forest(alternating_path(5), g) for g in hosts)
+        expected = verify.check_inequalities(h, 2, hosts)
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_forest_vs_path", refuse)
+            assert [check_eq_ph(h, 2, g) for g in hosts] == expected[::2]
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_path_vs_forest", refuse)
+            assert [check_eq_hp(h, 2, g) for g in hosts] == expected[1::2]
+
     def test_forest_vs_path_scale(self):
         # The cached scale is bound_odd(k)^(e(H)-e(P)) on every host.
         h = build_h_odd(2)
