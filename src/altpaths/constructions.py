@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .ecgraph import BLUE, RED, BudgetExceeded, Colour, EdgeColouredGraph
+from .ecgraph import BLUE, RED, BudgetExceeded, Colour, EdgeColouredGraph, _WRITE_ROWS
 
 
 def exact_div(num: int, den: int) -> int:
@@ -458,8 +458,8 @@ def materialise(length: int, plan: Plan) -> LabelledForest:
     # compiles its plan from them (``homcount._block_plan``).
     object.__setattr__(graph, "_blocks", (vblocks, eblocks))
     forest = LabelledForest.from_arrays(graph, roles, phi, length)
-    # Compared as arrays, so the forest's phi tuple stays unbuilt.
-    if not np.array_equal(recompute_phi(forest), phi):
+    # Compared with a fresh tuple of phi, so the forest's own stays unbuilt.
+    if recompute_phi(forest) != tuple(phi.tolist()):
         raise ValueError("materialised phi differs from the images its pins force")
     return forest
 
@@ -639,19 +639,35 @@ def fixture(name: str) -> LabelledForest:
 
 # -- sidecar serialization -------------------------------------------------
 
-def format_roles(f: LabelledForest) -> str:
-    """The ``.roles`` text of a forest, formatted from the columns of
-    ``role_array()`` and ``phi_array()``, so no role or phi tuple is built.
-    ValueError for what ``parse_roles`` would reject: a role outside
+def _roles_pieces(f: LabelledForest) -> Iterator[str]:
+    """The ``.roles`` text of a forest in pieces of at most ``_WRITE_ROWS``
+    lines, formatted from the columns of ``role_array()`` and
+    ``phi_array()``, so no role or phi tuple is built.  ValueError, before
+    the first piece, for what ``parse_roles`` would reject: a role outside
     ``ROLE_KINDS`` or an image outside the spine."""
     roles = f.role_array()
     bad = np.flatnonzero((roles[:, 0] < 0) | (roles[:, 0] >= len(ROLE_KINDS)))
     if bad.size:
         raise ValueError(f"unknown role for vertex {bad[0]}, expected one of {ROLE_KINDS}")
-    kind, j = roles.T.tolist()
-    phi = f.phi_array().tolist()
-    lines = map("v {} {} {} {}".format, range(len(kind)), map(ROLE_KINDS.__getitem__, kind), j, phi)
-    return "\n".join(lines) + "\n"
+    phi = f.phi_array()
+    if not len(phi):
+        yield "\n"  # the file of a forest with no vertex is one blank line
+    for start in range(0, len(phi), _WRITE_ROWS):
+        stop = start + _WRITE_ROWS
+        kind, j = roles[start:stop].T.tolist()
+        names = map(ROLE_KINDS.__getitem__, kind)
+        ids = range(start, start + len(j))
+        yield "".join(map("v {} {} {} {}\n".format, ids, names, j, phi[start:stop].tolist()))
+
+
+def format_roles(f: LabelledForest) -> str:
+    """The whole ``.roles`` text of a forest, as ``write_roles`` writes it."""
+    return "".join(_roles_pieces(f))
+
+
+def write_roles(f: LabelledForest, path) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        fh.writelines(_roles_pieces(f))
 
 
 def parse_roles(text: str, graph: EdgeColouredGraph) -> LabelledForest:

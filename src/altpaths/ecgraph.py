@@ -412,13 +412,25 @@ def random_hosts(count: int, n_max: int, seed: int) -> list[EdgeColouredGraph]:
 
 # -- .ecg text format ----------------------------------------------------
 
+# Rows per piece of written text: a writer holds the line strings of one
+# piece at a time, not one per edge or vertex of the whole graph.
+_WRITE_ROWS = 1 << 16
+
+
+def _ecg_pieces(g: EdgeColouredGraph) -> Iterator[str]:
+    """The ``.ecg`` text of a graph in pieces of at most ``_WRITE_ROWS``
+    lines, formatted from the columns of ``edge_array()``, so no edge tuple
+    is built."""
+    yield f"ecg 1\nn {g.n}\n"
+    e = g.edge_array()
+    for start in range(0, len(e), _WRITE_ROWS):
+        u, v, c = e[start:start + _WRITE_ROWS].T.tolist()
+        yield "".join(map("e {} {} {}\n".format, u, v, map(_LETTERS.__getitem__, c)))
+
+
 def format_ecg(g: EdgeColouredGraph) -> str:
-    """The ``.ecg`` text of a graph, formatted from the columns of
-    ``edge_array()``, so no edge tuple is built."""
-    u, v, c = g.edge_array().T.tolist()
-    lines = ["ecg 1", f"n {g.n}"]
-    lines.extend(map("e {} {} {}".format, u, v, map(_LETTERS.__getitem__, c)))
-    return "\n".join(lines) + "\n"
+    """The whole ``.ecg`` text of a graph, as ``write_ecg`` writes it."""
+    return "".join(_ecg_pieces(g))
 
 
 # ``parse_ecg`` refuses a larger vertex count before it builds anything per
@@ -458,7 +470,7 @@ def parse_ecg(text: str) -> EdgeColouredGraph:
 
 def write_ecg(g: EdgeColouredGraph, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_ecg(g))
+        fh.writelines(_ecg_pieces(g))
 
 
 def read_ecg(path) -> EdgeColouredGraph:

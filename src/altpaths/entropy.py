@@ -17,6 +17,7 @@ crosses the components as two parallel streams, images and weights.
 
 from __future__ import annotations
 
+import gc
 import math
 from fractions import Fraction
 from itertools import product, repeat, starmap
@@ -447,35 +448,43 @@ def glued_distribution(
     orders = _forest_bfs_orders(h)
     spine_steps = {(h.phi[v], h.phi[u]) for order in orders for v, u in order[1:]}
     factors = {step: _weight_factors(marg, *step) for step in spine_steps}
-    counts = _state_counts(h, marg, orders, factors, guard)
-    images: Iterable[tuple] = [()]
-    weights: Iterable[int] = [1]
-    denominator = 1
-    for order, count in zip(orders, counts):
-        position = {v: i for i, (v, _) in enumerate(order)}
-        root = order[0][0]
-        states = [((w,), cnt) for w, cnt in marg.single_counts[h.phi[root]].items()]
-        denominator *= marg.hom
-        for v, parent in order[1:]:
-            rows, lcm = factors[h.phi[v], h.phi[parent]]
-            at = position[parent]
-            states = [
-                (built + (b,), weight * f)
-                for built, weight in states
-                for b, f in rows[built[at]]
-            ]
-            denominator *= lcm
-        if len(states) != count:
-            raise ArithmeticError(f"built {len(states)} component states, the tree count is {count}")
-        # Cross the component in; every per-state step runs in C.
-        component_images, component_weights = zip(*states)
-        images = starmap(add, product(images, component_images))
-        weights = starmap(mul, product(weights, component_weights))
+    # The states are tuples the cyclic collector would walk again and again
+    # while they are allocated; none of them can be part of a cycle.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        counts = _state_counts(h, marg, orders, factors, guard)
+        images: Iterable[tuple] = [()]
+        weights: Iterable[int] = [1]
+        denominator = 1
+        for order, count in zip(orders, counts):
+            position = {v: i for i, (v, _) in enumerate(order)}
+            root = order[0][0]
+            states = [((w,), cnt) for w, cnt in marg.single_counts[h.phi[root]].items()]
+            denominator *= marg.hom
+            for v, parent in order[1:]:
+                rows, lcm = factors[h.phi[v], h.phi[parent]]
+                at = position[parent]
+                states = [
+                    (built + (b,), weight * f)
+                    for built, weight in states
+                    for b, f in rows[built[at]]
+                ]
+                denominator *= lcm
+            if len(states) != count:
+                raise ArithmeticError(f"built {len(states)} component states, the tree count is {count}")
+            # Cross the component in; every per-state step runs in C.
+            component_images, component_weights = zip(*states)
+            images = starmap(add, product(images, component_images))
+            weights = starmap(mul, product(weights, component_weights))
 
-    walked = {v: i for i, (v, _) in enumerate(pair for order in orders for pair in order)}
-    perm = [walked[v] for v in range(h.graph.n)]
-    key_of = itemgetter(*perm) if len(perm) > 1 else tuple
-    return DiscreteDistribution._adopt(dict(zip(map(key_of, images), weights)), denominator)
+        walked = {v: i for i, (v, _) in enumerate(pair for order in orders for pair in order)}
+        perm = [walked[v] for v in range(h.graph.n)]
+        key_of = itemgetter(*perm) if len(perm) > 1 else tuple
+        return DiscreteDistribution._adopt(dict(zip(map(key_of, images), weights)), denominator)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def closed_form_entropy(

@@ -1,10 +1,16 @@
 """Exact checks of the path-vs-forest density inequalities on concrete hosts.
 
-Both directions relate t(P, G) and t(H, G) through fractional powers; every
-check here first clears the exponents by cross-exponentiation, so each
-verdict is a comparison of two explicit rationals with no floating point
-anywhere.  Theorem bounds, the circulant tightness family, exhaustive host
-sweeps and the finite-n algebraic expansion identity round out the module.
+Both directions relate t(P, G) and t(H, G) through fractional powers.  A
+record states each check with the exponents cleared by cross-exponentiation,
+as a comparison of two explicit rationals.  The verdict is decided at the
+e(P)-th root of that comparison: H covers P uniformly m times, so
+e(H) = m e(P) and v(H) = m v(P), x -> x^e(P) is increasing on x >= 0, and
+the root is a comparison of integers built from hom(P, G) and hom(H, G),
+equivalent to the powered one and with no power of e(P) in it.  The powered
+sides are formed only when something reads them.  There is no floating
+point anywhere.  Theorem bounds, the circulant tightness family, exhaustive
+host sweeps and the finite-n algebraic expansion identity round out the
+module.
 """
 
 from __future__ import annotations
@@ -13,8 +19,8 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .constructions import LabelledForest, alternating_path
 from .covering import cover_profile
@@ -72,6 +78,30 @@ class InequalityReport:
         }
 
 
+class _RootReport(InequalityReport):
+    """A density report whose verdict was decided at its e(P)-th root, in
+    integers.  lhs and rhs keep their meaning, the powered sides every
+    record prints; ``sides`` forms both on the first read of either, so
+    reading ``holds`` alone forms no power of e(P)."""
+
+    def __init__(
+        self, name: str, k: int, host: str, holds: bool,
+        sides: Callable[[], tuple[Fraction, Fraction]],
+    ) -> None:
+        self.__dict__.update(name=name, k=k, host=host, _holds=holds, _form_sides=sides)
+
+    @property
+    def holds(self) -> bool:
+        return self._holds
+
+    @cached_property
+    def _sides(self) -> tuple[Fraction, Fraction]:
+        return self._form_sides()
+
+    lhs = property(lambda self: self._sides[0])
+    rhs = property(lambda self: self._sides[1])
+
+
 def bound_odd(k: int) -> Fraction:
     """Density ceiling for the odd alternating path: k^k (k+1)^(k+1) / (2k+1)^(2k+1)."""
     if k < 0:
@@ -88,74 +118,115 @@ def bound_even(k: int) -> Fraction:
 
 @lru_cache(maxsize=8)
 def _bound_power(k: int, exponent: int) -> Fraction:
-    """bound_odd(k)^exponent, the forest-vs-path scale: the same for every
-    host and every call on one forest."""
+    """bound_odd(k)^exponent: at exponent m-1 the forest-vs-path scale of the
+    root comparison, at e(H)-e(P) that of the powered record; the same for
+    every host and every call on one forest."""
     return bound_odd(k) ** exponent
+
+
+class _HostCounts:
+    """One host's integer figures for both density inequalities of a forest
+    H covering P = P_{2k+1} uniformly m times, so e(H) = m e(P) and
+    v(H) = m v(P).  t(H)^e(P), which both powered reports print, is formed
+    once, on first read."""
+
+    def __init__(self, k: int, m: int, g: EdgeColouredGraph, hom_p: int, hom_h: int) -> None:
+        self.k, self.m, self.key, self.n = k, m, g.canonical_key(), g.n
+        self.hom_p, self.hom_h = hom_p, hom_h
+
+    @property
+    def t_p(self) -> Fraction:
+        return Fraction(self.hom_p, self.n ** (2 * self.k + 2))
+
+    @cached_property
+    def t_h_e_p(self) -> Fraction:
+        return Fraction(self.hom_h, self.n ** (self.m * (2 * self.k + 2))) ** (2 * self.k + 1)
 
 
 def _densities(
     h: LabelledForest, k: int, hosts: Iterable[EdgeColouredGraph]
-) -> Iterator[tuple[str, int, Fraction, Fraction]]:
-    """Per host: its canonical key, e(H), t(P) and t(H)^e(P), the figures
-    both density inequalities are formed from.
+) -> Iterator[_HostCounts]:
+    """Per host: hom(P, G) and hom(H, G), the counts both density
+    inequalities are decided from.
 
-    Both need a uniformly covering spine homomorphism, checked once, before
-    the first host; t(P) and t(H) are counted once per host.
+    Both need a uniformly covering spine homomorphism, of multiplicity m,
+    checked once, before the first host, together with the sizes
+    e(H) = m e(P) and v(H) = m v(P) that the root comparisons rest on;
+    hom(P) and hom(H) are counted once per host.
     """
     if h.spine_edges != 2 * k + 1:
         raise ValueError(f"forest spine has {h.spine_edges} edges, expected {2 * k + 1}")
     profile = cover_profile(h)
-    if profile.uniform_multiplicity is None:
+    m = profile.uniform_multiplicity
+    if m is None:
         raise ValueError(
             "forest covering is not uniform; the density comparison needs a "
             f"uniformly covering spine homomorphism (profile {profile})"
         )
     spine = alternating_path(2 * k + 1)
-    e_h = h.graph.num_edges()
+    sizes = (h.graph.num_edges(), h.graph.n)
+    if sizes != (m * spine.num_edges(), m * spine.n):
+        raise ValueError(
+            f"forest has {sizes[0]} edges and {sizes[1]} vertices, not {m} times "
+            f"the path's {spine.num_edges()} and {spine.n}"
+        )
     for g in hosts:
-        t_p = density(spine, g)
-        # Not density(): H must be a forest, and hom() would brute-force a cyclic H.
-        t_h = Fraction(hom_forest(h.graph, g), g.n ** h.graph.n)
-        yield g.canonical_key(), e_h, t_p, t_h ** (2 * k + 1)
+        if g.n == 0:
+            raise ValueError("density undefined for a host with no vertices")
+        # hom_forest, not hom(): H must be a forest, and hom() would brute-force a cyclic H.
+        yield _HostCounts(k, m, g, hom_forest(spine, g), hom_forest(h.graph, g))
 
 
-def _path_vs_forest(
-    k: int, key: str, e_h: int, t_p: Fraction, t_h_e_p: Fraction
-) -> InequalityReport:
-    """t(P)^(1/e(P)) <= t(H)^(1/e(H)), checked as t(P)^e(H) <= t(H)^e(P)."""
-    return InequalityReport("path-vs-forest", k, key, t_p**e_h, t_h_e_p)
+def _path_vs_forest(c: _HostCounts) -> InequalityReport:
+    """t(P)^(1/e(P)) <= t(H)^(1/e(H)), printed as t(P)^e(H) <= t(H)^e(P).
+
+    Its e(P)-th root is t(P)^m <= t(H); with n^v(H) = (n^v(P))^m cleared
+    from both sides, that is hom(P, G)^m <= hom(H, G).
+    """
+    e_p = 2 * c.k + 1
+    holds = c.hom_p**c.m <= c.hom_h
+    return _RootReport("path-vs-forest", c.k, c.key, holds, lambda: (c.t_p ** (c.m * e_p), c.t_h_e_p))
 
 
-def _forest_vs_path(
-    k: int, key: str, e_h: int, t_p: Fraction, t_h_e_p: Fraction
-) -> InequalityReport:
-    """t(H) <= c^(e(H)-e(P)) t(P), the irrational constant c cleared by
-    raising both sides to the power e(P) = 2k+1."""
-    e_p = 2 * k + 1
-    # The scale's power is costly at large k, and with t(P) = 0 the bound is 0 without it.
-    bound = _bound_power(k, e_h - e_p) * t_p**e_p if t_p else Fraction(0)
-    return InequalityReport("forest-vs-path", k, key, t_h_e_p, bound)
+def _forest_vs_path(c: _HostCounts) -> InequalityReport:
+    """t(H) <= a^(e(H)-e(P)) t(P), where a = b^(1/e(P)) is irrational and
+    b = bound_odd(k); printed raised to the power e(P) = 2k+1, as
+    t(H)^e(P) <= b^(e(H)-e(P)) t(P)^e(P).
+
+    Its e(P)-th root is t(H) <= b^(m-1) t(P); with b^(m-1) = N/D and
+    n^v(H) cleared, that is hom(H, G) D <= N hom(P, G) n^(v(H)-v(P)).
+    With hom(P, G) = 0 the bound is 0 on either form, and no scale is formed.
+    """
+    e_p = 2 * c.k + 1
+    if not c.hom_p:
+        return _RootReport("forest-vs-path", c.k, c.key, c.hom_h == 0, lambda: (c.t_h_e_p, Fraction(0)))
+    scale = _bound_power(c.k, c.m - 1)
+    holds = c.hom_h * scale.denominator <= scale.numerator * c.hom_p * c.n ** ((c.m - 1) * (e_p + 1))
+    return _RootReport(
+        "forest-vs-path", c.k, c.key, holds,
+        lambda: (c.t_h_e_p, _bound_power(c.k, (c.m - 1) * e_p) * c.t_p**e_p),
+    )
 
 
 def check_inequalities(
     h: LabelledForest, k: int, hosts: Iterable[EdgeColouredGraph]
 ) -> list[InequalityReport]:
     """Both density inequalities on each host, path-vs-forest then
-    forest-vs-path per host, from one count of t(P) and t(H) per host."""
+    forest-vs-path per host, from one count of hom(P) and hom(H) per host."""
     reports = []
-    for figures in _densities(h, k, hosts):
-        reports += (_path_vs_forest(k, *figures), _forest_vs_path(k, *figures))
+    for counts in _densities(h, k, hosts):
+        reports += (_path_vs_forest(counts), _forest_vs_path(counts))
     return reports
 
 
 def check_eq_ph(h: LabelledForest, k: int, g: EdgeColouredGraph) -> InequalityReport:
     """The path-vs-forest half of check_inequalities on one host."""
-    return _path_vs_forest(k, *next(_densities(h, k, [g])))
+    return _path_vs_forest(next(_densities(h, k, [g])))
 
 
 def check_eq_hp(h: LabelledForest, k: int, g: EdgeColouredGraph) -> InequalityReport:
     """The forest-vs-path half of check_inequalities on one host."""
-    return _forest_vs_path(k, *next(_densities(h, k, [g])))
+    return _forest_vs_path(next(_densities(h, k, [g])))
 
 
 def check_theorem_odd(k: int, g: EdgeColouredGraph) -> InequalityReport:

@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import math
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import altpaths
+from altpaths import entropy as entropy_module
 from altpaths.constructions import (
     ClassCounts,
     alternating_path,
@@ -473,6 +475,32 @@ class TestGluedDistribution:
         h = fixture("H5")
         with pytest.raises(BudgetExceeded):
             glued_distribution(h, alternating_path(5), C4, guard=100)
+
+    def test_collector_held_while_building_and_restored(self, monkeypatch):
+        # Off while the states are counted and built; on again after a
+        # return and after a refusal; left off when the caller had it off.
+        seen = []
+        count_states = entropy_module._state_counts
+
+        def counting(*args):
+            seen.append(gc.isenabled())
+            return count_states(*args)
+
+        monkeypatch.setattr(entropy_module, "_state_counts", counting)
+        spine = alternating_path(3)
+        assert gc.isenabled()
+        glued_distribution(fixture("H3_small"), spine, C4)
+        assert gc.isenabled()
+        with pytest.raises(BudgetExceeded):
+            glued_distribution(fixture("H5"), alternating_path(5), C4, guard=100)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            glued_distribution(fixture("H3_small"), spine, C4)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        assert seen == [False, False, False]
 
 
 def _glue_or_refusal(glue_fn, h, g, guard):

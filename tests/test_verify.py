@@ -7,6 +7,7 @@ import pytest
 
 from altpaths import verify
 from altpaths.constructions import alternating_path, build_h_odd, fixture
+from altpaths.covering import CoverProfile
 from altpaths.ecgraph import (
     BLUE,
     RED,
@@ -189,6 +190,101 @@ class TestInequalityPair:
         hosts = random_hosts(4, 6, seed=75)
         assert all(r.holds for r in verify.check_inequalities(forest, 4, hosts))
         assert "edges" not in forest.graph.__dict__
+
+
+class TestRootComparator:
+    """Both density checks are decided at their e(P)-th root, in integers;
+    the records print the powered sides, and the two verdicts must agree."""
+
+    @staticmethod
+    def _agree(reports):
+        for report in reports:
+            powered = report.lhs <= report.rhs
+            assert report.holds == powered, report.name
+        return reports
+
+    def test_agrees_with_the_powered_sides_on_all_small_hosts(self):
+        hosts = [host_from_index(n, i) for n in (1, 2, 3) for i in range(host_count(n))]
+        for k in (1, 2):
+            self._agree(verify.check_inequalities(build_h_odd(k), k, hosts))
+
+    def test_agrees_with_the_powered_sides_on_random_hosts(self):
+        # Sparse draws often have hom(P) = 0, so complete 2-coloured hosts
+        # on 5 and 6 vertices join them to compare nonzero sides.
+        rng = random.Random(170)
+        spine_homs = 0
+        for k in (1, 2, 3, 4):
+            hosts = random_hosts(12, 6, seed=170 + k)
+            for n in (5, 6, 6):
+                pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+                hosts.append(EdgeColouredGraph.make(n, [(u, v, rng.choice((RED, BLUE))) for u, v in pairs]))
+            spine_homs += sum(hom_forest(alternating_path(2 * k + 1), g) > 0 for g in hosts)
+            self._agree(verify.check_inequalities(build_h_odd(k), k, hosts))
+        assert spine_homs >= 16
+
+    @staticmethod
+    def _counts(k, m, n, hom_p, hom_h):
+        return verify._HostCounts(k, m, EdgeColouredGraph(n, ()), hom_p, hom_h)
+
+    def test_path_vs_forest_ties_and_one_unit_apart(self):
+        for k, m, n, hom_p in [(1, 2, 3, 5), (1, 3, 2, 7), (2, 2, 4, 12), (3, 4, 3, 2), (1, 1, 2, 9)]:
+            tie = hom_p**m
+            for hom_h, holds in [(tie - 1, False), (tie, True), (tie + 1, True)]:
+                report = verify._path_vs_forest(self._counts(k, m, n, hom_p, hom_h))
+                assert report.holds is holds
+                self._agree([report])
+            report = verify._path_vs_forest(self._counts(k, m, n, hom_p, tie))
+            assert report.lhs == report.rhs and report.slack == 0
+
+    def test_forest_vs_path_ties_and_one_unit_apart(self):
+        # hom(H) D = N hom(P) n^((m-1) v(P)) is a tie when hom(P) is a
+        # multiple of D, N/D = bound_odd(k)^(m-1).
+        for k, m, n, t in [(1, 2, 3, 1), (1, 3, 2, 2), (2, 2, 3, 1), (2, 3, 2, 1), (3, 2, 4, 3)]:
+            scale = bound_odd(k) ** (m - 1)
+            hom_p = scale.denominator * t
+            tie = scale.numerator * t * n ** ((m - 1) * (2 * k + 2))
+            for hom_h, holds in [(tie - 1, True), (tie, True), (tie + 1, False)]:
+                report = verify._forest_vs_path(self._counts(k, m, n, hom_p, hom_h))
+                assert report.holds is holds
+                self._agree([report])
+            report = verify._forest_vs_path(self._counts(k, m, n, hom_p, tie))
+            assert report.lhs == report.rhs and report.slack == 0
+
+    def test_forest_vs_path_without_path_homomorphisms(self):
+        for hom_h, holds in [(0, True), (1, False)]:
+            report = verify._forest_vs_path(self._counts(1, 2, 3, 0, hom_h))
+            assert report.holds is holds
+            assert self._agree([report])[0].rhs == 0
+
+    def test_holds_forms_no_powered_side(self, monkeypatch):
+        # Only the root scale bound_odd(k)^(m-1) is formed; the record's
+        # scale, bound_odd(k)^(e(H)-e(P)), and both sides wait for a read.
+        k, h = 2, build_h_odd(2)
+        m = h.graph.num_edges() // 5
+        formed = []
+        bound_power = verify._bound_power
+
+        def tracked(k, exponent):
+            formed.append(exponent)
+            return bound_power(k, exponent)
+
+        monkeypatch.setattr(verify, "_bound_power", tracked)
+        hosts = random_hosts(12, 6, seed=172)
+        assert any(hom_forest(alternating_path(5), g) for g in hosts)
+        reports = verify.check_inequalities(h, k, hosts)
+        verdicts = [r.holds for r in reports]
+        assert all(verdicts) and set(formed) == {m - 1}
+        assert not any("_sides" in vars(r) for r in reports)
+        assert [r.lhs <= r.rhs for r in reports] == verdicts
+        assert (m - 1) * 5 in formed
+
+    def test_size_check(self, monkeypatch):
+        h = build_h_odd(1)
+        m = verify.cover_profile(h).uniform_multiplicity
+        wrong = CoverProfile((m + 1,) * 4, (m + 1,) * 3)
+        monkeypatch.setattr(verify, "cover_profile", lambda f: wrong)
+        with pytest.raises(ValueError, match=f"not {m + 1} times the path"):
+            verify.check_inequalities(h, 1, [TRIANGLE])
 
 
 class TestTightness:
