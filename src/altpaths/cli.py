@@ -15,7 +15,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import constructions, covering, entropy, lpsearch, verify
-from .ecgraph import BudgetExceeded, EdgeColouredGraph, random_hosts, read_ecg, write_ecg
+from .ecgraph import BudgetExceeded, random_hosts, read_ecg, write_ecg
+from .homcount import density, hom, hom_forest
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -59,22 +60,8 @@ def cmd_construct(args) -> int:
     return EXIT_PASS
 
 
-def _hom_value(args) -> tuple[int, EdgeColouredGraph, EdgeColouredGraph]:
-    pattern = read_ecg(args.pattern)
-    host = read_ecg(args.host)
-    from .homcount import hom, hom_brute, hom_forest
-
-    if args.method == "brute":
-        value = hom_brute(pattern, host, budget=args.budget)
-    elif args.method == "forest":
-        value = hom_forest(pattern, host)
-    else:
-        value = hom(pattern, host, budget=args.budget)
-    return value, pattern, host
-
-
 def cmd_hom(args) -> int:
-    value, _, _ = _hom_value(args)
+    value = hom(read_ecg(args.pattern), read_ecg(args.host), budget=args.budget, method=args.method)
     text = verify.digits(value)
     print(text)
     _emit(args, {"command": "hom", "value": text})
@@ -82,11 +69,8 @@ def cmd_hom(args) -> int:
 
 
 def cmd_density(args) -> int:
-    value, pattern, host = _hom_value(args)
-    if host.n == 0:
-        print("density undefined for an empty host", file=sys.stderr)
-        return EXIT_USAGE
-    text = verify.fraction_text(Fraction(value, host.n**pattern.n))
+    value = density(read_ecg(args.pattern), read_ecg(args.host), budget=args.budget, method=args.method)
+    text = verify.fraction_text(value)
     print(text)
     _emit(args, {"command": "density", "value": text})
     return EXIT_PASS
@@ -265,8 +249,6 @@ def cmd_entropy_check(args) -> int:
     forest = constructions.fixture(args.fixture)
     host = read_ecg(args.host)
     spine = constructions.alternating_path(forest.spine_edges)
-    from .homcount import hom_forest
-
     hom_p = hom_forest(spine, host)
     if hom_p == 0:
         print("spine has no homomorphisms into the host; nothing to check")

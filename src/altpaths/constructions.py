@@ -17,9 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional
 
-import numpy as np
-
-from .ecgraph import BLUE, RED, BudgetExceeded, Colour, EdgeColouredGraph, _WRITE_ROWS
+from .ecgraph import BLUE, RED, BudgetExceeded, Colour, EdgeColouredGraph, _WRITE_ROWS, np
 
 
 def exact_div(num: int, den: int) -> int:
@@ -182,15 +180,22 @@ def alternating_path(length: int) -> EdgeColouredGraph:
 
 
 @lru_cache(maxsize=64)
-def _spine_steps(length: int) -> np.ndarray:
-    """Read-only ``(2, length+1)`` table: ``[colour, j]`` is the spine
-    neighbour of v_j across the edge of that colour, or -1 for none: the
-    construction layer's one neighbour rule, read off the spine's edges."""
+def _spine_table(length: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``[colour][j]`` is the spine neighbour of v_j across the edge of that
+    colour, or -1 for none: the construction layer's one neighbour rule,
+    read off the spine's edges."""
     steps = [[-1] * (length + 1) for _ in (RED, BLUE)]
     for i in range(length):
         steps[spine_colour(i)][i] = i + 1
         steps[spine_colour(i)][i + 1] = i
-    table = np.array(steps, dtype=np.int64)
+    return tuple(map(tuple, steps))
+
+
+@lru_cache(maxsize=64)
+def _spine_steps(length: int) -> np.ndarray:
+    """``_spine_table(length)`` as a read-only int64 ``(2, length+1)``
+    array, for the array-level checks."""
+    table = np.array(_spine_table(length), dtype=np.int64)
     table.flags.writeable = False
     return table
 
@@ -246,7 +251,7 @@ def class_blocks(length: int, plan: Plan) -> tuple[list[VertexBlock], list[EdgeB
     yminus, yplus, aux.  Raises when a class cannot be mapped because the
     required spine neighbour does not exist.
     """
-    steps = _spine_steps(length).tolist()
+    steps = _spine_table(length)
     vblocks = [VertexBlock("spine", j, 1, j) for j in range(length + 1)]
     eblocks = [
         EdgeBlock(spine_colour(i), 1, i, i + 1, fan=True) for i in range(length)
@@ -458,8 +463,9 @@ def materialise(length: int, plan: Plan) -> LabelledForest:
     # compiles its plan from them (``homcount._block_plan``).
     object.__setattr__(graph, "_blocks", (vblocks, eblocks))
     forest = LabelledForest.from_arrays(graph, roles, phi, length)
-    # Compared with a fresh tuple of phi, so the forest's own stays unbuilt.
-    if recompute_phi(forest) != tuple(phi.tolist()):
+    # Compared as arrays: no tuple of phi is built, and the int32 images are
+    # cast to int64 a buffer at a time, not copied whole.
+    if not np.array_equal(_forced_images(forest), phi):
         raise ValueError("materialised phi differs from the images its pins force")
     return forest
 
@@ -501,7 +507,13 @@ def _half_edges(e: np.ndarray, n: int, index: type) -> tuple[np.ndarray, np.ndar
 
 
 def recompute_phi(f: LabelledForest) -> tuple[int, ...]:
-    """Re-derive phi by constraint propagation from the pinned vertices.
+    """Re-derive phi by constraint propagation from the pinned vertices;
+    see ``_forced_images``, whose images this returns as a tuple."""
+    return tuple(_forced_images(f).tolist())
+
+
+def _forced_images(f: LabelledForest) -> np.ndarray:
+    """Every vertex's spine image, forced from the pinned vertices.
 
     Pins: spine vertices to themselves, each yminus vertex to its class
     index, and aux vertices (which have no incident edges) to theirs.
@@ -569,7 +581,7 @@ def recompute_phi(f: LabelledForest) -> tuple[int, ...]:
     unassigned = np.flatnonzero(image < 0)
     if unassigned.size:
         raise ValueError(f"spine image not forced for vertices {unassigned[:5].tolist()}")
-    return tuple(image.tolist())
+    return image
 
 
 def build_h_odd(k: int) -> LabelledForest:

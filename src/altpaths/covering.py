@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-import numpy as np
-
 from .constructions import (
     LabelledForest,
     Plan,
@@ -27,7 +25,7 @@ from .constructions import (
     plan_odd,
     sequences,
 )
-from .ecgraph import parallel_map
+from .ecgraph import np, parallel_map
 
 # Coefficient rows are maps (series, index) -> coefficient with
 # series in {"x", "y", "z"}; out-of-range indexes are dropped.
@@ -132,15 +130,20 @@ class CoverProfile:
 
 
 def cover_profile(f: LabelledForest) -> CoverProfile:
-    """Exact preimage tally of a labelled forest over its spine."""
-    bad = homomorphism_violation(f)
-    if bad is not None:
-        raise ValueError(f"phi is not a homomorphism: edge {bad} maps off the spine")
-    phi = f.phi_array()
-    e = f.graph.edge_array()
-    vertex_cover = np.bincount(phi, minlength=f.spine_edges + 1)
-    edge_cover = np.bincount(np.minimum(phi[e[:, 0]], phi[e[:, 1]]), minlength=f.spine_edges)
-    return CoverProfile(tuple(vertex_cover.tolist()), tuple(edge_cover.tolist()))
+    """Exact preimage tally of a labelled forest over its spine, counted
+    once per forest and cached on it, like ``phi_array()``."""
+    cached = f.__dict__.get("_cover_profile")
+    if cached is None:
+        bad = homomorphism_violation(f)
+        if bad is not None:
+            raise ValueError(f"phi is not a homomorphism: edge {bad} maps off the spine")
+        phi = f.phi_array()
+        e = f.graph.edge_array()
+        vertex_cover = np.bincount(phi, minlength=f.spine_edges + 1)
+        edge_cover = np.bincount(np.minimum(phi[e[:, 0]], phi[e[:, 1]]), minlength=f.spine_edges)
+        cached = CoverProfile(tuple(vertex_cover.tolist()), tuple(edge_cover.tolist()))
+        object.__setattr__(f, "_cover_profile", cached)
+    return cached
 
 
 def _block_images(length: int, plan: Plan) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:

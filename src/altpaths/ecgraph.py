@@ -8,14 +8,38 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import random
+import sys
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import chain, combinations, product
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-import numpy as np
+
+def _numpy():
+    """numpy, executed on its first attribute access (the ``LazyLoader``
+    recipe of the importlib documentation).  This is the package's one numpy
+    import, and ``constructions`` and ``covering`` take ``np`` from here, so
+    the commands that build no array (the exact counters, the host sweep,
+    the simplex) never load numpy.  A numpy already in ``sys.modules``, or
+    blocked there with ``None``, is imported as ``import numpy`` would; a
+    missing one raises ModuleNotFoundError here, not at first use."""
+    if "numpy" in sys.modules:
+        return importlib.import_module("numpy")
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    loader.exec_module(module)
+    return module
+
+
+np = _numpy()
 
 
 class Colour(IntEnum):

@@ -246,19 +246,32 @@ def is_forest(h: EdgeColouredGraph) -> bool:
     return True
 
 
-def hom(h: EdgeColouredGraph, g: EdgeColouredGraph, budget: int = BRUTE_BUDGET) -> int:
-    """Forest DP when the pattern is acyclic, brute force otherwise."""
+def hom(
+    h: EdgeColouredGraph, g: EdgeColouredGraph, budget: int = BRUTE_BUDGET, method: str = "auto"
+) -> int:
+    """Forest DP when the pattern is acyclic, brute force otherwise;
+    method "forest" or "brute" takes that counter alone (NotAForest for a
+    cyclic pattern under "forest")."""
+    if method == "brute":
+        return hom_brute(h, g, budget=budget)
+    if method not in ("auto", "forest"):
+        raise ValueError(f"unknown method {method!r}")
     try:
         return hom_forest(h, g)
     except NotAForest:
+        if method == "forest":
+            raise
         return hom_brute(h, g, budget=budget)
 
 
-def density(h: EdgeColouredGraph, g: EdgeColouredGraph, budget: int = BRUTE_BUDGET) -> Fraction:
-    """Exact homomorphism density hom(H,G) / n^v(H)."""
+def density(
+    h: EdgeColouredGraph, g: EdgeColouredGraph, budget: int = BRUTE_BUDGET, method: str = "auto"
+) -> Fraction:
+    """Exact homomorphism density hom(H,G) / n^v(H), counted as ``hom``
+    counts with the same method."""
     if g.n == 0:
         raise ValueError("density undefined for a host with no vertices")
-    return Fraction(hom(h, g, budget=budget), g.n ** h.n)
+    return Fraction(hom(h, g, budget=budget, method=method), g.n ** h.n)
 
 
 def weighted_ab_bound(a: int, b: int, m: Fraction | int) -> Fraction:

@@ -94,6 +94,29 @@ class TestHomDensity:
         out = capsys.readouterr().out.split()
         assert out == ["2", "2"]
 
+    def test_density_methods_agree(self, tmp_path, capsys, p3_file, triangle_file):
+        report = tmp_path / "density.json"
+        for method in ("auto", "brute", "forest"):
+            argv = ["--json", str(report), "density", "--pattern", p3_file, "--host", triangle_file]
+            assert main(argv + ["--method", method]) == 0
+            assert json.loads(report.read_text()) == {"command": "density", "value": "2/81"}
+        assert capsys.readouterr().out.split() == ["2/81"] * 3
+
+    def test_density_forest_method_refuses_a_cycle(self, capsys, triangle_file):
+        argv = ["density", "--pattern", triangle_file, "--host", triangle_file]
+        assert main(argv + ["--method", "forest"]) == 2
+        assert "cycle" in capsys.readouterr().err
+        assert main(argv + ["--method", "brute"]) == 0
+        assert capsys.readouterr().out.strip() == "2/27"
+
+    def test_density_on_an_empty_host(self, tmp_path, capsys, p3_file):
+        empty = tmp_path / "empty.ecg"
+        write_ecg(EdgeColouredGraph.make(0, []), empty)
+        assert main(["density", "--pattern", p3_file, "--host", str(empty)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: density undefined for a host with no vertices\n"
+
 
 class TestVerifyCovering:
     def test_small_range_passes(self, capsys):
@@ -378,6 +401,36 @@ class TestErrorPaths:
         assert main(command.format(p3=p3_file, big=big).split()) == 3
         err = capsys.readouterr().err
         assert err.startswith("budget refusal: ") and err.count("\n") == 1, err
+
+    def test_exact_commands_never_load_numpy(self, tmp_path, p3_file, triangle_file):
+        # A fresh interpreter: the exhaustive sweep, the simplex, the exact
+        # counts and the class-block tally build no array, so numpy is never
+        # executed and none of its submodules is imported.
+        src = str(Path(altpaths.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        commands = [
+            "bound-check --pattern-k 1 --odd --exhaustive 4",
+            "lp-search --k 3",
+            f"hom --pattern {p3_file} --host {triangle_file}",
+            f"density --pattern {p3_file} --host {triangle_file}",
+            "verify-covering --k-max 3 --method blocks",
+        ]
+        code = (
+            "import sys\n"
+            "import altpaths.cli\n"
+            f"for argv in {[c.split() for c in commands]!r}:\n"
+            "    assert altpaths.cli.main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.')))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
 
     def test_installed_entry_point(self, tmp_path):
         # The child imports the package from where this process found it, so

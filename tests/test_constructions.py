@@ -20,6 +20,7 @@ from altpaths.constructions import (
     _MATERIALISE_EDGES,
     _half_edges,
     _spine_steps,
+    _spine_table,
     alternating_path,
     build_h_even,
     build_h_odd,
@@ -407,7 +408,12 @@ def test_materialise_check_survives_optimised_mode():
         "from altpaths import constructions as c\n"
         "if not sys.flags.optimize:\n"
         "    sys.exit(3)\n"
-        "c.recompute_phi = lambda f: f.phi[:-1] + (f.phi[-1] + 1,)\n"
+        "forced = c._forced_images\n"
+        "def off_by_one(f):\n"
+        "    image = forced(f).copy()\n"
+        "    image[-1] += 1\n"
+        "    return image\n"
+        "c._forced_images = off_by_one\n"
         "try:\n"
         "    c.materialise(3, {1: c.ClassCounts(xr=1)})\n"
         "except ValueError as exc:\n"
@@ -513,6 +519,15 @@ class TestPlans:
                 for colour in (RED, BLUE):
                     step = steps[colour, j]
                     assert list(adj[j][colour]) == ([] if step < 0 else [step])
+
+    def test_spine_steps_are_the_spine_table(self):
+        # class_blocks reads the tuple table and the array checks read its
+        # int64 copy: one neighbour rule in two forms.
+        for length in range(1, 42):
+            steps = _spine_steps(length)
+            assert steps.dtype == np.int64 and not steps.flags.writeable
+            assert steps.shape == (2, length + 1)
+            assert tuple(map(tuple, steps.tolist())) == _spine_table(length)
 
     def test_oversized_forest_refused_before_building(self):
         k = 16

@@ -1,5 +1,6 @@
 import pytest
 
+from altpaths import covering
 from altpaths.constructions import (
     LabelledForest,
     build_h_odd,
@@ -91,8 +92,20 @@ class TestCoverProfile:
         bad_phi = list(h.phi)
         bad_phi[-1] = (bad_phi[-1] + 1) % 4
         broken = LabelledForest(h.graph, h.roles, tuple(bad_phi), h.spine_edges)
-        with pytest.raises(ValueError, match="not a homomorphism"):
-            cover_profile(broken)
+        for _ in range(2):  # a rejection is not cached
+            with pytest.raises(ValueError, match="not a homomorphism"):
+                cover_profile(broken)
+
+    def test_counted_once_per_forest(self, monkeypatch):
+        calls = []
+        check = covering.homomorphism_violation
+        monkeypatch.setattr(covering, "homomorphism_violation", lambda f: calls.append(f) or check(f))
+        h = build_h_odd(2)
+        assert cover_profile(h) is cover_profile(h)
+        assert len(calls) == 1
+        # An equal forest is another object, and counts afresh.
+        twin = LabelledForest(h.graph, h.roles, h.phi, h.spine_edges)
+        assert cover_profile(twin) == cover_profile(h) and len(calls) == 2
 
     def test_non_uniform_profile_has_no_multiplicity(self):
         from altpaths.constructions import ClassCounts, materialise

@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import altpaths
 from altpaths.constructions import alternating_path, plan_odd, plan_sizes, sequences
 from altpaths.ecgraph import (
     BLUE,
@@ -340,3 +345,51 @@ class TestWorkerCount:
         assert worker_count(0, 100) == worker_count(-5, 100) == 1
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert worker_count(10**6, 100) == 1
+
+
+class TestNumpyLoad:
+    """numpy is taken from ``ecgraph._numpy``, the package's one numpy import."""
+
+    def run(self, code: str) -> subprocess.CompletedProcess:
+        src = str(Path(altpaths.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        return subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+
+    def test_blocked_numpy_fails_the_import(self):
+        result = self.run(
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "try:\n"
+            "    import altpaths\n"
+            "except ModuleNotFoundError as exc:\n"
+            "    print(exc.name)\n"
+            "    sys.exit(0)\n"
+            "sys.exit(1)\n"
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "numpy"
+
+    def test_imported_numpy_is_shared(self):
+        result = self.run(
+            "import numpy\n"
+            "from altpaths import constructions, covering, ecgraph\n"
+            "assert ecgraph.np is constructions.np is covering.np is numpy\n"
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_numpy_loads_on_first_array(self):
+        result = self.run(
+            "import sys\n"
+            "from altpaths import ecgraph\n"
+            "g = ecgraph.EdgeColouredGraph.make(3, [(0, 1, ecgraph.RED), (1, 2, ecgraph.BLUE)])\n"
+            "assert not any(m.startswith('numpy.') for m in sys.modules)\n"
+            "assert g.edge_array().tolist() == [[0, 1, 0], [1, 2, 1]]\n"
+            "assert ecgraph.np is sys.modules['numpy']\n"
+            "assert any(m.startswith('numpy.') for m in sys.modules)\n"
+        )
+        assert result.returncode == 0, result.stderr

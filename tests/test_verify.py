@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from altpaths import verify
+from altpaths import covering, verify
 from altpaths.constructions import alternating_path, build_h_odd, fixture
 from altpaths.covering import CoverProfile
 from altpaths.ecgraph import (
@@ -156,6 +156,17 @@ class TestInequalityPair:
         with monkeypatch.context() as m:
             m.setattr(verify, "_path_vs_forest", refuse)
             assert [check_eq_hp(h, 2, g) for g in hosts] == expected[1::2]
+
+    def test_one_cover_profile_per_forest(self, monkeypatch):
+        # The library views on one forest share its cached covering profile.
+        calls = []
+        check = covering.homomorphism_violation
+        monkeypatch.setattr(covering, "homomorphism_violation", lambda f: calls.append(f) or check(f))
+        h = build_h_odd(3)
+        for g in random_hosts(8, 6, seed=76):
+            check_eq_ph(h, 3, g)
+            check_eq_hp(h, 3, g)
+        assert calls == [h]
 
     def test_forest_vs_path_scale(self):
         # The cached scale is bound_odd(k)^(e(H)-e(P)) on every host.
