@@ -533,7 +533,11 @@ def _forced_images(f: LabelledForest) -> np.ndarray:
     steps = _spine_steps(length).astype(index)
     image = np.full(n, -1, dtype=index)
     roles = f.role_array()
-    pinned = np.flatnonzero(np.isin(roles[:, 0], _PINNED_CODES))
+    # A lookup table by kind code; its extra last slot, read by code -1 (a
+    # kind outside ROLE_KINDS), is not pinned.
+    is_pinned = np.zeros(len(ROLE_KINDS) + 1, dtype=bool)
+    is_pinned[_PINNED_CODES] = True
+    pinned = np.flatnonzero(is_pinned[roles[:, 0]])
     at = roles[pinned, 1]
     outside = np.flatnonzero((at < 0) | (at > length))
     if outside.size:

@@ -137,9 +137,12 @@ class EdgeColouredGraph:
     # -- derived accessors ------------------------------------------------
 
     def num_edges(self, colour: Optional[Colour] = None) -> int:
-        """Edge count, of one colour if given, read from ``edge_array()``."""
-        arr = self.edge_array()
-        return len(arr) if colour is None else int(np.count_nonzero(arr[:, 2] == colour))
+        """Edge count, of one colour if given, read from the edge array
+        when the graph holds one, else from the edge tuple."""
+        arr = self.__dict__.get("_edge_arr")
+        if arr is not None:
+            return len(arr) if colour is None else int(np.count_nonzero(arr[:, 2] == colour))
+        return len(self.edges) if colour is None else sum(c == colour for _, _, c in self.edges)
 
     def adjacency(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """Per-vertex neighbour lists, partitioned by colour, built lazily.
@@ -241,9 +244,8 @@ def degree_stats(g: EdgeColouredGraph) -> DegreeStats:
     # blue edge at a qualifies.
     d_rb = tuple(sum(d_b[a] for a in adj[v][RED]) for v in range(g.n))
     d_bb = tuple(sum(d_b[a] - 1 for a in adj[v][BLUE]) for v in range(g.n))
-    e_r = g.num_edges(RED)
-    e_b = g.num_edges(BLUE)
-    return DegreeStats(d_r, d_b, d_rb, d_bb, e_r, e_b)
+    # Every edge adds 1 to the degree of each of its two ends.
+    return DegreeStats(d_r, d_b, d_rb, d_bb, sum(d_r) // 2, sum(d_b) // 2)
 
 
 def circulant_host(n: int, red_residues: Iterable[int]) -> EdgeColouredGraph:

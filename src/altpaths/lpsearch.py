@@ -10,12 +10,15 @@ uniformly covered forest.
 
 The solver is a two-phase primal simplex with Bland's anti-cycling rule,
 so feasibility verdicts are exact and termination is guaranteed.  Tie/fix
-rows are eliminated exactly before pivoting starts.  Each tableau row is
-held as integer numerators over one positive denominator and reduced by
-their gcd after every pivot (fraction-free elimination in the manner of
-Edmonds 1967 and Bareiss 1968), so no per-entry ``Fraction`` work is done.
-The artificial columns are deleted once phase 1 has driven them out of the
-basis, so phase 2 needs no big-M cost.
+rows are eliminated exactly, on sparse rows, before pivoting starts.  Each
+tableau row is held as integer numerators over one positive denominator, in
+lowest terms, so no per-entry ``Fraction`` work is done.  A pivot reads the
+pivot row's nonzero entries once; every other row with a nonzero in the
+pivot column is scaled by the pivot denominator over its gcd with that
+entry, has the matching multiple of the pivot row subtracted at those
+nonzeros only, and is put back in lowest terms.  The artificial columns are
+deleted once phase 1 has driven them out of the basis, so phase 2 needs no
+big-M cost.
 """
 
 from __future__ import annotations
@@ -211,8 +214,10 @@ def _presolve(problem: LpProblem) -> Optional[Presolved]:
         return a
 
     fixed: dict[int, Fraction] = {}
-    pending = [(row.coeffs, row.relation, row.rhs) for row in problem.rows]
-    remaining = []
+    pending = [
+        ({col: c for col, c in enumerate(row.coeffs) if c}, row.relation, row.rhs)
+        for row in problem.rows
+    ]
     changed = True
     while changed:
         changed = False
@@ -220,9 +225,7 @@ def _presolve(problem: LpProblem) -> Optional[Presolved]:
         for coeffs, relation, rhs in pending:
             folded: dict[int, Fraction] = {}
             const = rhs
-            for col, c in enumerate(coeffs):
-                if not c:
-                    continue
+            for col, c in coeffs.items():
                 root = find(col)
                 if root in fixed:
                     const -= c * fixed[root]
@@ -249,16 +252,10 @@ def _presolve(problem: LpProblem) -> Optional[Presolved]:
                     return None
                 continue
             next_pending.append((folded, relation, const))
-        if changed:
-            pending = [
-                (tuple(row.get(col, Fraction(0)) for col in range(num)), rel, rhs)
-                for row, rel, rhs in next_pending
-            ]
-        else:
-            remaining = next_pending
+        pending = next_pending
     rep = tuple(find(c) for c in range(num))
     live = tuple(sorted(set(rep) - set(fixed)))
-    return Presolved(live, rep, fixed, tuple(remaining))
+    return Presolved(live, rep, fixed, tuple(pending))
 
 
 # -- simplex core -------------------------------------------------------------
@@ -289,13 +286,25 @@ class _Row:
             nums[col] = v.numerator * (den // v.denominator)
         return cls(nums, den)
 
-    def eliminate(self, pivot: "_Row", c: int) -> None:
-        """Subtract the multiple of pivot, which holds 1 in column c, that
-        clears column c: (row*p - f*pivot) / (den*p) with p = pivot.den."""
-        f, p = self.nums[c], pivot.den
-        self.nums, self.den = _lowest(
-            [a * p - f * b for a, b in zip(self.nums, pivot.nums)], self.den * p
-        )
+    def support(self) -> list[tuple[int, int]]:
+        """The (column, numerator) pairs of the nonzero entries."""
+        return [(j, b) for j, b in enumerate(self.nums) if b]
+
+    def eliminate(self, pivot: "_Row", support: list[tuple[int, int]], c: int) -> None:
+        """Subtract the multiple of pivot, which holds 1 in column c and has
+        the given support, that clears column c.  With f this row's entry in
+        column c, p = pivot.den and g = gcd(f, p), the row is scaled by p/g
+        and (f/g) times the pivot is subtracted at the support only:
+        (row*(p/g) - (f/g)*pivot) / (den*(p/g)), then put in lowest terms."""
+        nums = self.nums
+        p = pivot.den
+        g = math.gcd(nums[c], p)
+        scale, f = p // g, nums[c] // g
+        if scale != 1:
+            nums = [a * scale for a in nums]
+        for j, b in support:
+            nums[j] -= f * b
+        self.nums, self.den = _lowest(nums, self.den * scale)
 
 
 def _bland_simplex(rows: list[_Row], basis: list[int], cost: _Row) -> str:
@@ -334,11 +343,12 @@ def _pivot(rows: list[_Row], basis: list[int], cost: Optional[_Row], r: int, c: 
     pivot = rows[r]
     p = pivot.nums[c]
     pivot.nums, pivot.den = _lowest(pivot.nums if p > 0 else [-v for v in pivot.nums], abs(p))
+    support = pivot.support()
     for rr, row in enumerate(rows):
         if rr != r and row.nums[c]:
-            row.eliminate(pivot, c)
+            row.eliminate(pivot, support, c)
     if cost is not None and cost.nums[c]:
-        cost.eliminate(pivot, c)
+        cost.eliminate(pivot, support, c)
     basis[r] = c
 
 
@@ -377,7 +387,7 @@ def solve_feasible(problem: LpProblem) -> LpSolution:
     # Phase 1: minimise the sum of artificials, priced out over the basis.
     cost = _Row([0] * art_at + [1] * m + [0], 1)
     for row, b in zip(rows, basis):
-        cost.eliminate(row, b)
+        cost.eliminate(row, row.support(), b)
     status = _bland_simplex(rows, basis, cost)
     if status == "unbounded" or cost.nums[-1]:
         return LpSolution("infeasible", k=problem.k)
@@ -404,7 +414,7 @@ def solve_feasible(problem: LpProblem) -> LpSolution:
         obj = _Row.exact(art_at + 1, weights)
         for row, b in zip(rows, basis):
             if obj.nums[b]:
-                obj.eliminate(row, b)
+                obj.eliminate(row, row.support(), b)
         if _bland_simplex(rows, basis, obj) == "unbounded":
             raise ValueError("objective is unbounded below on the feasible region")
 

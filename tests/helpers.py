@@ -400,3 +400,76 @@ def format_roles_oracle(f) -> str:
         f"v {v} {kind} {j} {f.phi[v]}" for v, (kind, j) in enumerate(f.roles)
     ]
     return "\n".join(lines) + "\n"
+
+
+def dense_eliminate(row, pivot, support, c: int) -> None:
+    """The simplex row update as it was before it read the pivot's support:
+    every column of (row*p - f*pivot) / (den*p), p = pivot.den, put in
+    lowest terms.  Takes ``_Row.eliminate``'s arguments and ignores the
+    support."""
+    import math
+
+    f, p = row.nums[c], pivot.den
+    nums = [a * p - f * b for a, b in zip(row.nums, pivot.nums)]
+    den = row.den * p
+    g = math.gcd(*nums, den)
+    row.nums, row.den = [v // g for v in nums], den // g
+
+
+def presolve_oracle(problem):
+    """``lpsearch._presolve`` as it was before its rows stayed sparse: each
+    round that changes something re-expands the rows to dense tuples."""
+    from altpaths.lpsearch import Presolved
+
+    num = problem.num_vars
+    parent = list(range(num))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    fixed: dict = {}
+    pending = [(row.coeffs, row.relation, row.rhs) for row in problem.rows]
+    while True:
+        changed = False
+        next_pending = []
+        for coeffs, relation, rhs in pending:
+            folded: dict = {}
+            const = rhs
+            for col, c in enumerate(coeffs):
+                if not c:
+                    continue
+                root = find(col)
+                if root in fixed:
+                    const -= c * fixed[root]
+                else:
+                    folded[root] = folded.get(root, Fraction(0)) + c
+            folded = {c: v for c, v in folded.items() if v}
+            if relation == "=" and len(folded) == 1:
+                (col, coeff), = folded.items()
+                if const / coeff < 0:
+                    return None
+                fixed[col] = const / coeff
+                changed = True
+                continue
+            if relation == "=" and len(folded) == 2 and const == 0:
+                (c1, v1), (c2, v2) = sorted(folded.items())
+                if v1 == -v2:
+                    parent[find(c2)] = find(c1)
+                    changed = True
+                    continue
+            if not folded:
+                if not (const == 0 if relation == "=" else const <= 0):
+                    return None
+                continue
+            next_pending.append((folded, relation, const))
+        if not changed:
+            break
+        pending = [
+            (tuple(row.get(col, Fraction(0)) for col in range(num)), rel, rhs)
+            for row, rel, rhs in next_pending
+        ]
+    rep = tuple(find(c) for c in range(num))
+    live = tuple(sorted(set(rep) - set(fixed)))
+    return Presolved(live, rep, fixed, tuple(next_pending))

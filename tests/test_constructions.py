@@ -348,6 +348,20 @@ class TestRecomputePhi:
         assert homomorphism_violation(f) is None
         assert cover_profile(f).edge_cover == (depth + 1,)
 
+    def test_unknown_role_is_not_a_pin(self):
+        # role_array codes a kind outside ROLE_KINDS as -1, which must not
+        # read as the last kind, aux, a pin.  Unpinned, the isolated aux
+        # vertex is never forced, and the leaf is forced to its old image.
+        f = fixture("H3_small")
+        aux = f.roles.index(("aux", 1))
+        leaf = f.roles.index(("xr", 1))
+        for v, want in ((aux, ValueError), (leaf, f.phi)):
+            roles = list(f.roles)
+            roles[v] = ("foo", roles[v][1])
+            bad = LabelledForest(f.graph, tuple(roles), f.phi, f.spine_edges)
+            assert bad.role_array()[v, 0] == -1
+            assert _outcome(recompute_phi, bad) == _outcome(recompute_phi_oracle, bad) == want
+
     def test_pin_outside_spine_rejected(self):
         f = fixture("H3_small")
         roles = list(f.roles)

@@ -91,6 +91,8 @@ class TestDegreeStats:
             stats = degree_stats(g)
             assert sum(stats.d_r) == 2 * stats.e_r
             assert sum(stats.d_b) == 2 * stats.e_b
+            counted = [sum(c == colour for _, _, c in g.edges) for colour in (RED, BLUE)]
+            assert [stats.e_r, stats.e_b] == [g.num_edges(RED), g.num_edges(BLUE)] == counted
             for v in range(g.n):
                 assert stats.d_r[v] + stats.d_b[v] <= g.n - 1
                 assert stats.d_rb[v] + stats.d_bb[v] <= 2 * stats.e_b - stats.d_b[v]
@@ -379,6 +381,21 @@ class TestNumpyLoad:
             "import numpy\n"
             "from altpaths import constructions, covering, ecgraph\n"
             "assert ecgraph.np is constructions.np is covering.np is numpy\n"
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_edge_counts_build_no_array(self):
+        # A tuple-built graph counts from its tuple: no cached edge array,
+        # and numpy never executes.
+        result = self.run(
+            "import sys\n"
+            "from altpaths.ecgraph import BLUE, RED, degree_stats, host_from_index\n"
+            "g = host_from_index(5, 12345)\n"
+            "stats = degree_stats(g)\n"
+            "counts = (g.num_edges(), g.num_edges(RED), g.num_edges(BLUE))\n"
+            "assert counts == (len(g.edges), stats.e_r, stats.e_b), counts\n"
+            "assert '_edge_arr' not in vars(g)\n"
+            "assert not any(m.startswith('numpy.') for m in sys.modules)\n"
         )
         assert result.returncode == 0, result.stderr
 

@@ -23,6 +23,8 @@ from altpaths.lpsearch import (
     witness_assignment,
 )
 
+from helpers import dense_eliminate, presolve_oracle
+
 ZERO = Fraction(0)
 
 
@@ -238,3 +240,101 @@ class TestOracleFixture:
         solution, pivots = _solve_counting_pivots(problem, monkeypatch)
         assert [str(v) for v in solution.assignment] == entry["assignment"]
         assert pivots == entry["pivots"]
+
+
+# The third row is the sum of the other two.  Phase 1 ends with its
+# artificial basic at zero, and the pivot that drives it out is negative.
+DEGENERATE = LpProblem(
+    3,
+    (
+        make_row(3, {0: 2, 1: 3, 2: -2}, rhs=3),
+        make_row(3, {0: -2, 1: 1, 2: -2}, rhs=1),
+        make_row(3, {1: 4, 2: -4}, rhs=4),
+    ),
+    objective=(Fraction(1), Fraction(1), Fraction(2)),
+)
+
+
+ORACLE_PROBLEMS = (
+    [f"k{k}" for k in range(1, 21)]
+    + [f"k{e['k']}-seed{e['seed']}" for e in ORACLE["extra"]]
+    + ["degenerate"]
+)
+
+
+def _oracle_problem(name):
+    """The plain covering LP at k = 1..20, the fixture's extra-row cases
+    and DEGENERATE, by name."""
+    if name == "degenerate":
+        return DEGENERATE
+    entry = next((e for e in ORACLE["extra"] if f"k{e['k']}-seed{e['seed']}" == name), None)
+    if entry is None:
+        return build_constraints(int(name[1:]))
+    return build_constraints(entry["k"], _oracle_rows(entry["k"], entry["rows"]))
+
+
+def _solve_logging_pivots(problem, monkeypatch):
+    """The solution, the (row, column) of every pivot, and whether each
+    pivot was a drive-out (no cost row) at a negative entry."""
+    log, negative = [], []
+    inner = lpsearch._pivot
+
+    def logged(rows, basis, cost, r, c):
+        log.append((r, c))
+        negative.append(cost is None and rows[r].nums[c] < 0)
+        return inner(rows, basis, cost, r, c)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lpsearch, "_pivot", logged)
+        return solve_feasible(problem), log, any(negative)
+
+
+class TestDenseOracle:
+    """The support-driven row update against the dense one it replaced
+    (``helpers.dense_eliminate``): the same pivots in the same order, and
+    the same answer.  The presolve against its dense-round form."""
+
+    @pytest.mark.parametrize("name", ORACLE_PROBLEMS)
+    def test_same_pivots_and_answer(self, name, monkeypatch):
+        problem = _oracle_problem(name)
+        solution, log, negative = _solve_logging_pivots(problem, monkeypatch)
+        monkeypatch.setattr(lpsearch._Row, "eliminate", dense_eliminate)
+        want, want_log, _ = _solve_logging_pivots(problem, monkeypatch)
+        assert solution.feasible and solution == want
+        assert log == want_log
+        assert negative == (name == "degenerate")
+
+    @pytest.mark.parametrize("name", ORACLE_PROBLEMS)
+    def test_presolve_matches_dense_rounds(self, name):
+        problem = _oracle_problem(name)
+        assert lpsearch._presolve(problem) == presolve_oracle(problem)
+
+    def test_presolve_on_random_lps(self):
+        # Rows that a nonnegative point with repeated values satisfies, or
+        # misses by one: fixes, ties, tie chains, folded and false rows.
+        rng = random.Random(2718)
+        seen = {"infeasible": 0, "fixed": 0, "tied": 0, "rows": 0}
+        for _ in range(300):
+            num = rng.randint(1, 7)
+            point = [rng.randint(0, 2) for _ in range(num)]
+            rows = []
+            for _ in range(rng.randint(1, 7)):
+                cols = rng.sample(range(num), rng.randint(1, min(3, num)))
+                if len(cols) == 2 and rng.random() < 0.6:
+                    coeffs = {cols[0]: 1, cols[1]: -1}
+                else:
+                    coeffs = {col: rng.choice((-2, -1, 1, 2, 3)) for col in cols}
+                value = sum(c * point[col] for col, c in coeffs.items())
+                relation = rng.choice(("=", "=", ">="))
+                miss = rng.random() < 0.1
+                rows.append(make_row(num, coeffs, relation, value + miss))
+            problem = LpProblem(num, tuple(rows))
+            got = lpsearch._presolve(problem)
+            assert got == presolve_oracle(problem)
+            if got is None:
+                seen["infeasible"] += 1
+            else:
+                seen["fixed"] += bool(got.fixed)
+                seen["tied"] += any(root != col for col, root in enumerate(got.rep))
+                seen["rows"] += bool(got.rows)
+        assert min(seen.values()) > 20, seen
