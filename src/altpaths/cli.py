@@ -95,6 +95,8 @@ def cmd_verify_ineq(args) -> int:
     if args.hosts == "random":
         if args.count < 1:
             raise ValueError(f"--count must be >= 1, got {args.count}")
+        if args.n_max < 1:
+            raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
         hosts = random_hosts(args.count, args.n_max, args.seed)
     else:
         from .ecgraph import enumerate_hosts, host_count

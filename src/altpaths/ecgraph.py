@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import chain, combinations, product
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 
 def _numpy():
@@ -123,16 +123,6 @@ class EdgeColouredGraph:
         rejects edges with ``u >= v``.
         """
         return EdgeColouredGraph(n, tuple(sorted(edges)))
-
-    @staticmethod
-    def from_pairs(n: int, coloured_pairs: Mapping[tuple[int, int], Colour]) -> "EdgeColouredGraph":
-        """Build from a pair->colour mapping, normalising endpoint order."""
-        edges = []
-        for (u, v), c in coloured_pairs.items():
-            if u > v:
-                u, v = v, u
-            edges.append((u, v, Colour(c)))
-        return EdgeColouredGraph.make(n, edges)
 
     # -- derived accessors ------------------------------------------------
 

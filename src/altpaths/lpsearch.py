@@ -11,14 +11,15 @@ uniformly covered forest.
 The solver is a two-phase primal simplex with Bland's anti-cycling rule,
 so feasibility verdicts are exact and termination is guaranteed.  Tie/fix
 rows are eliminated exactly, on sparse rows, before pivoting starts.  Each
-tableau row is held as integer numerators over one positive denominator, in
-lowest terms, so no per-entry ``Fraction`` work is done.  A pivot reads the
-pivot row's nonzero entries once; every other row with a nonzero in the
-pivot column is scaled by the pivot denominator over its gcd with that
-entry, has the matching multiple of the pivot row subtracted at those
-nonzeros only, and is put back in lowest terms.  The artificial columns are
-deleted once phase 1 has driven them out of the basis, so phase 2 needs no
-big-M cost.
+tableau row is sparse too: a map from column to nonzero integer numerator
+over one positive denominator, in lowest terms, with the right-hand side
+under a fixed key, so no per-entry ``Fraction`` work is done and no work
+scales with the tableau width.  A pivot scales every other row with a
+nonzero in the pivot column by the pivot denominator over its gcd with that
+entry, subtracts the matching multiple of the pivot row at the pivot row's
+nonzeros only, and puts the row back in lowest terms.  The artificial
+columns are deleted once phase 1 has driven them out of the basis, so
+phase 2 needs no big-M cost.
 """
 
 from __future__ import annotations
@@ -260,73 +261,74 @@ def _presolve(problem: LpProblem) -> Optional[Presolved]:
 
 # -- simplex core -------------------------------------------------------------
 
-def _lowest(nums: list[int], den: int) -> tuple[list[int], int]:
-    g = math.gcd(*nums, den)
-    if g == 1:
-        return nums, den
-    return [v // g for v in nums], den // g
+# The key under which a row holds its right-hand side.  Columns are
+# numbered from 0, so dropping the artificial columns (keys >= art_at)
+# keeps it.
+_RHS = -1
 
 
 class _Row:
     """A tableau row kept exact as integer numerators over one positive
-    denominator, in lowest terms: column j holds nums[j] / den, and the
-    right-hand side is last."""
+    denominator, in lowest terms: nums maps each column with a nonzero entry
+    to its numerator, and the right-hand side sits under ``_RHS``.  A zero
+    is never stored."""
 
     __slots__ = ("nums", "den")
 
-    def __init__(self, nums: list[int], den: int):
-        self.nums, self.den = _lowest(nums, den)
+    def __init__(self, nums: dict[int, int], den: int):
+        g = math.gcd(*nums.values(), den)
+        if g != 1:
+            nums = {j: v // g for j, v in nums.items()}
+            den //= g
+        self.nums, self.den = nums, den
 
     @classmethod
-    def exact(cls, width: int, entries: dict[int, Fraction]) -> "_Row":
+    def exact(cls, entries: dict[int, Fraction]) -> "_Row":
         """The row holding the given exact values, and zeros elsewhere."""
         den = math.lcm(*(v.denominator for v in entries.values()))
-        nums = [0] * width
-        for col, v in entries.items():
-            nums[col] = v.numerator * (den // v.denominator)
+        nums = {j: v.numerator * (den // v.denominator) for j, v in entries.items() if v}
         return cls(nums, den)
 
-    def support(self) -> list[tuple[int, int]]:
-        """The (column, numerator) pairs of the nonzero entries."""
-        return [(j, b) for j, b in enumerate(self.nums) if b]
-
-    def eliminate(self, pivot: "_Row", support: list[tuple[int, int]], c: int) -> None:
-        """Subtract the multiple of pivot, which holds 1 in column c and has
-        the given support, that clears column c.  With f this row's entry in
-        column c, p = pivot.den and g = gcd(f, p), the row is scaled by p/g
-        and (f/g) times the pivot is subtracted at the support only:
+    def eliminate(self, pivot: "_Row", c: int) -> None:
+        """Subtract the multiple of pivot, which holds 1 in column c, that
+        clears column c.  With f this row's entry in column c, p = pivot.den
+        and g = gcd(f, p), the row is scaled by p/g and (f/g) times the
+        pivot is subtracted at the pivot's nonzeros only:
         (row*(p/g) - (f/g)*pivot) / (den*(p/g)), then put in lowest terms."""
         nums = self.nums
         p = pivot.den
         g = math.gcd(nums[c], p)
         scale, f = p // g, nums[c] // g
         if scale != 1:
-            nums = [a * scale for a in nums]
-        for j, b in support:
-            nums[j] -= f * b
-        self.nums, self.den = _lowest(nums, self.den * scale)
+            nums = {j: a * scale for j, a in nums.items()}
+        for j, b in pivot.nums.items():
+            v = nums.get(j, 0) - f * b
+            if v:
+                nums[j] = v
+            else:
+                del nums[j]
+        self.__init__(nums, self.den * scale)
 
 
 def _bland_simplex(rows: list[_Row], basis: list[int], cost: _Row) -> str:
     """Minimise over the rows in place; returns "optimal" or "unbounded".
 
-    cost holds the reduced costs (last entry = minus the objective value).
+    cost holds the reduced costs (its rhs = minus the objective value).
     Entering column: lowest index with negative reduced cost.  Leaving row:
     lexicographic (ratio, basis index), where the ratio rhs/a of a row is
     the quotient of its numerators (the row denominator cancels) and is
     compared by cross-multiplication.  Bland's rule, so no cycling.
     """
-    last = len(cost.nums) - 1
     while True:
-        entering = next((col for col in range(last) if cost.nums[col] < 0), -1)
+        entering = min((j for j, v in cost.nums.items() if v < 0 and j >= 0), default=-1)
         if entering < 0:
             return "optimal"
         leaving = -1
         best_rhs = best_a = 0
         for r, row in enumerate(rows):
-            a = row.nums[entering]
+            a = row.nums.get(entering, 0)
             if a > 0:
-                rhs = row.nums[-1]
+                rhs = row.nums.get(_RHS, 0)
                 if leaving >= 0:
                     lhs, ref = rhs * best_a, best_rhs * a
                     if lhs > ref or (lhs == ref and basis[r] > basis[leaving]):
@@ -340,15 +342,14 @@ def _bland_simplex(rows: list[_Row], basis: list[int], cost: _Row) -> str:
 def _pivot(rows: list[_Row], basis: list[int], cost: Optional[_Row], r: int, c: int) -> None:
     """Make column c basic in row r.  Rows with 0 in column c are untouched;
     the cost row, when given, is updated like any other row."""
-    pivot = rows[r]
-    p = pivot.nums[c]
-    pivot.nums, pivot.den = _lowest(pivot.nums if p > 0 else [-v for v in pivot.nums], abs(p))
-    support = pivot.support()
+    nums = rows[r].nums
+    p = nums[c]
+    pivot = rows[r] = _Row(nums if p > 0 else {j: -v for j, v in nums.items()}, abs(p))
     for rr, row in enumerate(rows):
-        if rr != r and row.nums[c]:
-            row.eliminate(pivot, support, c)
-    if cost is not None and cost.nums[c]:
-        cost.eliminate(pivot, support, c)
+        if rr != r and c in row.nums:
+            row.eliminate(pivot, c)
+    if cost is not None and c in cost.nums:
+        cost.eliminate(pivot, c)
     basis[r] = c
 
 
@@ -367,7 +368,7 @@ def solve_feasible(problem: LpProblem) -> LpSolution:
     n = len(pre.live)
     num_slack = sum(1 for _, relation, _ in pre.rows if relation != "=")
     m = len(pre.rows)
-    width = n + num_slack + m + 1   # structural + slack/surplus + artificial + rhs
+    # Columns: structural, then slack/surplus, then one artificial per row.
     art_at = n + num_slack
     slack_at = n
     rows: list[_Row] = []
@@ -376,34 +377,32 @@ def solve_feasible(problem: LpProblem) -> LpSolution:
         # Rows with a negative rhs are negated, so a >= row becomes <=.
         sign = -1 if rhs < 0 else 1
         entries = {col_of[col]: sign * v for col, v in folded.items()}
-        entries[width - 1] = sign * rhs
+        entries[_RHS] = sign * rhs
         if relation != "=":
             entries[slack_at] = -sign
             slack_at += 1
         entries[art_at + i] = 1
-        rows.append(_Row.exact(width, entries))
+        rows.append(_Row.exact(entries))
         basis.append(art_at + i)
 
     # Phase 1: minimise the sum of artificials, priced out over the basis.
-    cost = _Row([0] * art_at + [1] * m + [0], 1)
+    cost = _Row({art_at + i: 1 for i in range(m)}, 1)
     for row, b in zip(rows, basis):
-        cost.eliminate(row, row.support(), b)
+        cost.eliminate(row, b)
     status = _bland_simplex(rows, basis, cost)
-    if status == "unbounded" or cost.nums[-1]:
+    if status == "unbounded" or _RHS in cost.nums:
         return LpSolution("infeasible", k=problem.k)
 
     # Drive leftover (necessarily zero-valued) artificials out of the basis.
     for r in range(m - 1, -1, -1):
         if basis[r] >= art_at:
-            nums = rows[r].nums
-            pivot_col = next((c for c in range(art_at) if nums[c]), None)
+            pivot_col = min((j for j in rows[r].nums if 0 <= j < art_at), default=None)
             if pivot_col is None:
                 del rows[r]
                 del basis[r]
             else:
                 _pivot(rows, basis, None, r, pivot_col)
-    for row in rows:
-        row.nums, row.den = _lowest(row.nums[:art_at] + row.nums[-1:], row.den)
+    rows = [_Row({j: v for j, v in row.nums.items() if j < art_at}, row.den) for row in rows]
 
     if problem.objective is not None:
         weights: dict[int, Fraction] = {}
@@ -411,17 +410,17 @@ def solve_feasible(problem: LpProblem) -> LpSolution:
             root = pre.rep[orig]
             if c and root not in pre.fixed:   # fixed columns shift the value only
                 weights[col_of[root]] = weights.get(col_of[root], 0) + c
-        obj = _Row.exact(art_at + 1, weights)
+        obj = _Row.exact(weights)
         for row, b in zip(rows, basis):
-            if obj.nums[b]:
-                obj.eliminate(row, row.support(), b)
+            if b in obj.nums:
+                obj.eliminate(row, b)
         if _bland_simplex(rows, basis, obj) == "unbounded":
             raise ValueError("objective is unbounded below on the feasible region")
 
     reduced = [Fraction(0)] * n
     for row, b in zip(rows, basis):
         if b < n:
-            reduced[b] = Fraction(row.nums[-1], row.den)
+            reduced[b] = Fraction(row.nums.get(_RHS, 0), row.den)
     assignment = tuple(
         pre.fixed[root] if root in pre.fixed else reduced[col_of[root]] for root in pre.rep
     )

@@ -25,7 +25,6 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .constructions import LabelledForest, alternating_path
 from .covering import cover_profile
 from .ecgraph import (
-    BLUE,
     RED,
     BudgetExceeded,
     EdgeColouredGraph,
@@ -269,11 +268,13 @@ def tightness_curve(k: int, n_list: Sequence[int]) -> list[TightnessPoint]:
     negation-closed residue set: any degree on even n, even degrees on odd n)
     nearest that optimum on each side are both evaluated, and the one of
     larger density is kept, the lower on a tie.  An n admitting neither is
-    reported and skipped.
+    reported and skipped.  A size below 1 raises ValueError.
     """
     bound = bound_odd(k)
     points = []
     for n in n_list:
+        if n < 1:
+            raise ValueError(f"host size must be >= 1, got {n}")
         optimum = Fraction((k + 1) * (n - 1), 2 * k + 1)
         below, above = math.floor(optimum), math.ceil(optimum)
         while below >= 0 and symmetric_residues(n, below) is None:
@@ -295,14 +296,13 @@ def tightness_curve(k: int, n_list: Sequence[int]) -> list[TightnessPoint]:
     return points
 
 
-# -- exhaustive and heuristic extremal search --------------------------------
+# -- exhaustive extremal search ----------------------------------------------
 
 @dataclass(frozen=True)
 class MaxResult:
     density: Fraction
     host: EdgeColouredGraph
-    exhaustive: bool
-    index: Optional[int]       # counter index of the argmax when exhaustive
+    index: int                 # counter index of the argmax
 
 
 def _scan_chunk(args) -> tuple[int, int]:
@@ -324,81 +324,33 @@ def _scan_chunk(args) -> tuple[int, int]:
 
 
 def exhaustive_max(
-    pattern: EdgeColouredGraph,
-    n: int,
-    budget: int = 10**8,
-    workers: int = 1,
-    heuristic: bool = False,
-    restarts: int = 40,
-    seed: int = 0,
+    pattern: EdgeColouredGraph, n: int, budget: int = 10**8, workers: int = 1
 ) -> MaxResult:
-    """Maximum homomorphism density of the pattern over hosts on n vertices.
+    """Maximum homomorphism density of the pattern over hosts on n vertices,
+    exact, with the deterministic first-attaining argmax.  Refused when the
+    3^(n(n-1)/2) host count exceeds the budget.
 
-    Exhaustive (exact, with deterministic first-attaining argmax) while the
-    3^(n(n-1)/2) host count fits the budget; beyond it, a seeded
-    random-restart single-pair recolouring climb, flagged non-exhaustive.
-
-    The exhaustive sweep first learns the maximum on the 2^(n(n-1)/2)
-    complete 2-coloured hosts.  Colouring an absent pair only adds
-    homomorphisms, so that is the maximum over all hosts; the in-order scan
-    of the 3-state counter then stops at the first index that attains it.
+    The sweep first learns the maximum on the 2^(n(n-1)/2) complete
+    2-coloured hosts.  Colouring an absent pair only adds homomorphisms, so
+    that is the maximum over all hosts; the in-order scan of the 3-state
+    counter then stops at the first index that attains it.
     """
     if not is_forest(pattern):
         raise ValueError("exhaustive search is implemented for forest patterns")
     total = host_count(n)
-    if total <= budget:
-        plan = _plan(pattern)
-        target = max(_plan_hom(plan, gadj) for gadj in _complete_adjacencies(n))
-        chunk_count = worker_count(workers, total)
-        bounds = [total * i // chunk_count for i in range(chunk_count + 1)]
-        chunks = [
-            (pattern, n, bounds[i], bounds[i + 1], target) for i in range(chunk_count)
-        ]
-        best_hom, best_index = -1, -1
-        for value, index in parallel_map(_scan_chunk, chunks, workers):
-            if value > best_hom:           # chunk order fixes the tie-break
-                best_hom, best_index = value, index
-        best_host = host_from_index(n, best_index)
-        return MaxResult(density(pattern, best_host), best_host, True, best_index)
-    if not heuristic:
-        raise BudgetExceeded(
-            f"{total} hosts exceed budget {budget}; pass heuristic=True for local search",
-            required=total,
-        )
-    import random
-
-    rng = random.Random(seed)
-    from .ecgraph import random_host
-
-    best_hom = -1
-    best_host = None
-    states = (None, RED, BLUE)
-    for _ in range(restarts):
-        g = random_host(n, rng)
-        pairs = {(u, v): c for u, v, c in g.edges}
-        current = hom_forest(pattern, g)
-        improved = True
-        while improved:
-            improved = False
-            for u in range(n):
-                for v in range(u + 1, n):
-                    original = pairs.get((u, v))
-                    for state in states:
-                        if state == original:
-                            continue
-                        trial = dict(pairs)
-                        if state is None:
-                            trial.pop((u, v), None)
-                        else:
-                            trial[(u, v)] = state
-                        candidate = EdgeColouredGraph.from_pairs(n, trial)
-                        value = hom_forest(pattern, candidate)
-                        if value > current:
-                            pairs, current, improved = trial, value, True
-        if current > best_hom:
-            best_hom = current
-            best_host = EdgeColouredGraph.from_pairs(n, pairs)
-    return MaxResult(density(pattern, best_host), best_host, False, None)
+    if total > budget:
+        raise BudgetExceeded(f"{total} hosts exceed budget {budget}", required=total)
+    plan = _plan(pattern)
+    target = max(_plan_hom(plan, gadj) for gadj in _complete_adjacencies(n))
+    chunk_count = worker_count(workers, total)
+    bounds = [total * i // chunk_count for i in range(chunk_count + 1)]
+    chunks = [(pattern, n, bounds[i], bounds[i + 1], target) for i in range(chunk_count)]
+    best_hom, best_index = -1, -1
+    for value, index in parallel_map(_scan_chunk, chunks, workers):
+        if value > best_hom:           # chunk order fixes the tie-break
+            best_hom, best_index = value, index
+    best_host = host_from_index(n, best_index)
+    return MaxResult(density(pattern, best_host), best_host, best_index)
 
 
 # -- the algebraic expansion identity ----------------------------------------

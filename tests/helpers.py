@@ -402,18 +402,24 @@ def format_roles_oracle(f) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dense_eliminate(row, pivot, support, c: int) -> None:
-    """The simplex row update as it was before it read the pivot's support:
-    every column of (row*p - f*pivot) / (den*p), p = pivot.den, put in
-    lowest terms.  Takes ``_Row.eliminate``'s arguments and ignores the
-    support."""
+def dense_eliminate(row, pivot, c: int) -> None:
+    """The simplex row update over every column: both ``_Row``s expanded to
+    dense lists (rhs first), (row*p - f*pivot) / (den*p) with p = pivot.den
+    and no early gcd cancel, put in lowest terms, and the zeros dropped.
+    Takes ``_Row.eliminate``'s arguments."""
     import math
 
+    from altpaths.lpsearch import _RHS
+
+    cols = range(_RHS, max(max(row.nums), max(pivot.nums)) + 1)
     f, p = row.nums[c], pivot.den
-    nums = [a * p - f * b for a, b in zip(row.nums, pivot.nums)]
+    dense_row = [row.nums.get(j, 0) for j in cols]
+    dense_pivot = [pivot.nums.get(j, 0) for j in cols]
+    nums = [a * p - f * b for a, b in zip(dense_row, dense_pivot)]
     den = row.den * p
     g = math.gcd(*nums, den)
-    row.nums, row.den = [v // g for v in nums], den // g
+    row.nums = {j: v // g for j, v in zip(cols, nums) if v}
+    row.den = den // g
 
 
 def presolve_oracle(problem):

@@ -273,6 +273,13 @@ class TestBoundCheck:
         ])
         assert code == 3
 
+    def test_budget_refusal_message(self, capsys):
+        # 3^21 hosts on 7 vertices against the default budget of 10^8.
+        assert main(["bound-check", "--pattern-k", "1", "--odd", "--exhaustive", "7"]) == 3
+        assert capsys.readouterr().err == (
+            "budget refusal: 10460353203 hosts exceed budget 100000000\n"
+        )
+
 
 class TestLpSearch:
     def test_solves_and_writes(self, tmp_path, capsys):
@@ -378,6 +385,8 @@ class TestErrorPaths:
         ("verify-covering --k-max 0", None),
         ("verify-covering --k-max -2", None),
         ("verify-ineq --k 1 --hosts random --count -3", None),
+        ("bound-check --pattern-k 1 --odd --tightness 0", None),
+        ("bound-check --pattern-k 1 --odd --tightness -3", None),
     ])
     def test_bad_input_exits_2(self, tmp_path, capsys, command, extra):
         argv = command.split()
@@ -388,6 +397,12 @@ class TestErrorPaths:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("n_max", ["0", "-2"])
+    def test_n_max_below_one_names_the_flag(self, capsys, n_max):
+        argv = ["verify-ineq", "--k", "1", "--hosts", "random", "--n-max", n_max]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: --n-max must be >= 1, got {n_max}\n"
 
     @pytest.mark.parametrize("command", [
         "hom --pattern {p3} --host {big}",

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -290,7 +291,7 @@ def _solve_logging_pivots(problem, monkeypatch):
 
 
 class TestDenseOracle:
-    """The support-driven row update against the dense one it replaced
+    """The sparse row update against a whole-row one
     (``helpers.dense_eliminate``): the same pivots in the same order, and
     the same answer.  The presolve against its dense-round form."""
 
@@ -303,6 +304,49 @@ class TestDenseOracle:
         assert solution.feasible and solution == want
         assert log == want_log
         assert negative == (name == "degenerate")
+
+    def test_eliminate_matches_fraction_update(self):
+        # Random sparse rows, some a multiple of the pivot plus a few
+        # entries, so that the update cancels whole columns.
+        rng = random.Random(1618)
+        cancelled = 0
+
+        def values():
+            cols = rng.sample(range(lpsearch._RHS, 12), rng.randint(1, 6))
+            return {j: Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for j in cols}
+
+        for _ in range(400):
+            c = rng.randrange(12)
+            pivot = {**values(), c: Fraction(1)}
+            row = values()
+            if rng.random() < 0.4:
+                scale = Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))
+                row = {**{j: scale * v for j, v in pivot.items()}, **values()}
+            row[c] = row.get(c) or Fraction(rng.randint(1, 7), rng.randint(1, 5))
+            want = {j: row.get(j, ZERO) - row[c] * pivot.get(j, ZERO) for j in {*row, *pivot}}
+            want = {j: v for j, v in want.items() if v}
+            cancelled += len(want) < len({*row, *pivot}) - 1
+            got = lpsearch._Row.exact(row)
+            got.eliminate(lpsearch._Row.exact(pivot), c)
+            assert {j: Fraction(v, got.den) for j, v in got.nums.items()} == want
+            assert 0 not in got.nums.values() and got.den > 0
+            assert math.gcd(*got.nums.values(), got.den) == 1
+        assert cancelled > 50, cancelled
+
+    def test_rows_never_store_a_zero(self, monkeypatch):
+        inner = lpsearch._pivot
+        seen = []
+
+        def checked(rows, basis, cost, r, c):
+            inner(rows, basis, cost, r, c)
+            for row in rows if cost is None else rows + [cost]:
+                assert 0 not in row.nums.values()
+            seen.append(c)
+
+        monkeypatch.setattr(lpsearch, "_pivot", checked)
+        for name in ("k6", "k12", ORACLE_PROBLEMS[20], "degenerate"):
+            assert solve_feasible(_oracle_problem(name)).feasible
+        assert len(seen) > 100
 
     @pytest.mark.parametrize("name", ORACLE_PROBLEMS)
     def test_presolve_matches_dense_rounds(self, name):

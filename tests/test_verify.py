@@ -376,7 +376,6 @@ class TestTightness:
 class TestExhaustiveMax:
     def test_p3_on_three_vertices(self):
         result = exhaustive_max(alternating_path(3), 3)
-        assert result.exhaustive
         assert result.density == Fraction(2, 81)
         assert result.host.num_edges(RED) == 2 and result.host.num_edges(BLUE) == 1
 
@@ -398,13 +397,6 @@ class TestExhaustiveMax:
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceeded):
             exhaustive_max(alternating_path(3), 5, budget=100)
-
-    def test_heuristic_flagged_and_bounded(self):
-        result = exhaustive_max(
-            alternating_path(3), 4, budget=100, heuristic=True, restarts=3, seed=9
-        )
-        assert not result.exhaustive
-        assert result.density <= bound_odd(1)
 
 
 def _sweep_outcome(run):
