@@ -12,10 +12,11 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from . import constructions, covering, entropy, lpsearch, verify
-from .ecgraph import BudgetExceeded, random_hosts, read_ecg, write_ecg
+from .ecgraph import BudgetExceeded, pair_count, random_hosts, read_ecg, write_ecg
 from .homcount import density, hom, hom_forest
 
 EXIT_PASS = 0
@@ -91,13 +92,14 @@ def cmd_verify_covering(args) -> int:
 
 
 def cmd_verify_ineq(args) -> int:
-    forest = constructions.build_h_odd(args.k)
     if args.hosts == "random":
         if args.count < 1:
             raise ValueError(f"--count must be >= 1, got {args.count}")
         if args.n_max < 1:
             raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
-        hosts = random_hosts(args.count, args.n_max, args.seed)
+        if (pairs := pair_count(args.n_max)) > args.budget:
+            raise BudgetExceeded(f"{pairs} host pairs exceed budget {args.budget}", required=pairs)
+        hosts = partial(random_hosts, args.count, args.n_max, args.seed)
     else:
         from .ecgraph import enumerate_hosts, host_count
 
@@ -106,8 +108,8 @@ def cmd_verify_ineq(args) -> int:
             raise BudgetExceeded(
                 f"{needed} hosts exceed budget {args.budget}", required=needed
             )
-        hosts = enumerate_hosts(args.n)
-    reports = verify.check_inequalities(forest, args.k, hosts)
+        hosts = partial(enumerate_hosts, args.n)
+    reports = verify.check_inequalities(constructions.build_h_odd(args.k), args.k, hosts())
     violations = 0
     for report in reports:
         if not report.holds:

@@ -698,6 +698,8 @@ def parse_roles(text: str, graph: EdgeColouredGraph) -> LabelledForest:
         v = int(parts[1])
         if not 0 <= v < graph.n:
             raise ValueError(f"role line for out-of-range vertex {v}")
+        if roles[v] is not None:
+            raise ValueError(f"repeated role line for vertex {v}")
         if parts[2] not in _KIND_CODES:
             raise ValueError(f"unknown role {parts[2]!r} for vertex {v}, expected one of {ROLE_KINDS}")
         roles[v] = (parts[2], int(parts[3]))

@@ -254,11 +254,10 @@ class CoveringReport:
         ]
 
 
-# "auto" materialises forests up to this many edges.  The array build would
-# reach further, but the method it picks is printed on each ``verify-covering``
-# text line (not in ``--json``), so the cap stays (``constructions._MATERIALISE_EDGES``).
+# "auto" materialises forests up to this many edges and sums class blocks
+# beyond.  The method it picks is printed on each ``verify-covering`` text
+# line (not in ``--json``), so the cap stays (``constructions._MATERIALISE_EDGES``).
 _MATERIALISE_CAP = 2_000_000
-_ARRAYS_CAP = 500_000_000
 
 
 def verify_covering(k: int, method: str = "auto") -> CoveringReport:
@@ -266,21 +265,15 @@ def verify_covering(k: int, method: str = "auto") -> CoveringReport:
 
     method: "tuples" materialises the forest as its edge, role and phi
     arrays (no per-edge Python objects) and uses ``cover_profile``;
-    "arrays" uses the physically laid-out image arrays; "blocks" uses the
-    grouped class tally; "auto" picks tuples below the materialisation
-    cap, arrays up to ~5e8 edges, grouped blocks beyond.
+    "blocks" sums the grouped class tally, which "arrays" lays out entry by
+    entry (kept only as an explicit method); "auto" picks tuples below the
+    materialisation cap, blocks beyond.
     """
     s = sequences(k)
     plan = plan_odd(k, s)
     length = 2 * k + 1
     if method == "auto":
-        edges = (2 * k + 1) * (cover_target(k) + 1)
-        if edges <= _MATERIALISE_CAP:
-            method = "tuples"
-        elif edges <= _ARRAYS_CAP:
-            method = "arrays"
-        else:
-            method = "blocks"
+        method = "tuples" if length * (cover_target(k) + 1) <= _MATERIALISE_CAP else "blocks"
     if method == "tuples":
         profile = cover_profile(materialise(length, plan))
     elif method == "arrays":

@@ -12,7 +12,7 @@ walk.  Densities are exact rationals hom / n^v(H).
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, groupby, product, repeat
@@ -132,25 +132,39 @@ def _plan(h: EdgeColouredGraph) -> _Plan:
     return cached
 
 
-def _vertex_plan(h: EdgeColouredGraph) -> _Plan:
-    """The plan of any forest pattern, compiled vertex by vertex over
-    forest_orders."""
-    require_valid(h)
-    orders = forest_orders(h)
-    colour_of = {(u, v): c for u, v, c in h.edges}
-    children: list[list[tuple[int, int]]] = [[] for _ in range(h.n)]
-    vertex_step = [0] * h.n
+def _compile(parent, sizes) -> tuple[tuple, list[int], tuple]:
+    """Steps, each group's step and the (root step, count) pairs of a forest
+    given as groups of like vertices, parents first: group g holds sizes[g]
+    vertices, and parent[g] is None for roots, else (a, colour, m): each
+    vertex of group a has m children in group g by edges of that colour."""
+    children: defaultdict = defaultdict(dict)     # pending groups only
+    group_step = [0] * len(sizes)
     step_ids: dict[tuple, int] = {}
-    for v, parent in reversed([pair for order in orders for pair in order]):
-        counts = Counter(children[v])
-        step = tuple(sorted((c, child, m) for (c, child), m in counts.items()))
-        sid = step_ids.setdefault(step, len(step_ids))
-        vertex_step[v] = sid
-        if parent is not None:
-            colour = colour_of[(v, parent) if v < parent else (parent, v)]
-            children[parent].append((int(colour), sid))
-    roots = Counter(vertex_step[order[0][0]] for order in orders)
-    return _Plan(tuple(step_ids), _runs(zip(vertex_step, repeat(1))), tuple(roots.items()))
+    roots: dict[int, int] = {}
+    for g in reversed(range(len(sizes))):
+        step = tuple(sorted((c, child, m) for (c, child), m in children.pop(g, {}).items()))
+        sid = group_step[g] = step_ids.setdefault(step, len(step_ids))
+        if parent[g] is None:
+            roots[sid] = roots.get(sid, 0) + sizes[g]
+        else:
+            a, colour, m = parent[g]
+            children[a][colour, sid] = children[a].get((colour, sid), 0) + m
+    return tuple(step_ids), group_step, tuple(roots.items())
+
+
+def _vertex_plan(h: EdgeColouredGraph) -> _Plan:
+    """The plan of any forest pattern: the forest_orders walk compiled as
+    one-vertex groups, its steps mapped back to vertex order."""
+    require_valid(h)
+    walk = [pair for order in forest_orders(h) for pair in order]
+    position = [0] * h.n
+    for i, (v, _) in enumerate(walk):
+        position[v] = i
+    colour_of = {(u, v): int(c) for u, v, c in h.edges}
+    parent = [p if p is None else (position[p], colour_of[(v, p) if v < p else (p, v)], 1)
+              for v, p in walk]
+    steps, walk_step, roots = _compile(parent, [1] * len(walk))
+    return _Plan(steps, _runs((walk_step[i], 1) for i in position), roots)
 
 
 def _block_plan(vblocks, eblocks) -> _Plan:
@@ -162,27 +176,15 @@ def _block_plan(vblocks, eblocks) -> _Plan:
     Each edge block gives the vertices of its head block a parent in its
     tail block: a fan hangs ``count`` heads on one tail vertex, a parallel
     block one head on each.  Heads follow their tails in block order, so
-    the blocks in reverse are children before parents, and the parentless
-    blocks (their vertices the least of their components) are the roots.
+    the blocks are ``_compile``'s groups; the parentless blocks (their
+    vertices the least of their components) hold the roots.
     """
-    children: list[Counter] = [Counter() for _ in vblocks]
     parent: list[Optional[tuple[int, int, int]]] = [None] * len(vblocks)
     for eb in eblocks:
         parent[eb.b_block] = (eb.a_block, int(eb.colour), eb.count if eb.fan else 1)
-    block_step = [0] * len(vblocks)
-    step_ids: dict[tuple, int] = {}
-    for b in reversed(range(len(vblocks))):
-        step = tuple(sorted((c, child, m) for (c, child), m in children[b].items()))
-        sid = block_step[b] = step_ids.setdefault(step, len(step_ids))
-        if parent[b] is not None:
-            a, colour, mult = parent[b]
-            children[a][(colour, sid)] += mult
-    roots: Counter = Counter()
-    for b, vb in enumerate(vblocks):
-        if parent[b] is None:
-            roots[block_step[b]] += vb.count
-    runs = _runs((sid, vb.count) for sid, vb in zip(block_step, vblocks))
-    return _Plan(tuple(step_ids), runs, tuple(roots.items()))
+    sizes = [vb.count for vb in vblocks]
+    steps, block_step, roots = _compile(parent, sizes)
+    return _Plan(steps, _runs(zip(block_step, sizes)), roots)
 
 
 def _step_tables(plan: _Plan, gadj) -> list[list[int]]:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import altpaths
-from altpaths import constructions, covering, lpsearch
+from altpaths import cli, constructions, covering, lpsearch
 from altpaths.cli import main
 from altpaths.constructions import alternating_path, parse_roles
 from altpaths.ecgraph import BLUE, RED, EdgeColouredGraph, host_from_index, read_ecg, write_ecg
@@ -159,6 +159,8 @@ class TestPinnedOutputs:
         (["verify-ineq", "--k", "2", "--hosts", "random", "--count", "100", "--n-max", "6",
           "--seed", "7"],
          "20d0c1fbdf2c4d695e3077bba90b0a84314ae1b6766b5f69dd85f23703896da8"),
+        (["verify-covering", "--k-max", "20"],
+         "8ae22ce602d571651786a044b9205d3450e9609509525c54b210745581870a41"),
     ])
     def test_json_reports(self, tmp_path, argv, sha):
         report = tmp_path / "report.json"
@@ -229,6 +231,26 @@ class TestVerifyIneq:
         # H_20 has 14,826,461 edges, past the materialise cap.
         argv = ["verify-ineq", "--k", "20", "--hosts", "random", "--count", "1"]
         assert main(argv) == 3
+
+    def test_host_pairs_refused_before_any_build(self, capsys, monkeypatch):
+        # 199,990,000 pairs on 20,000 vertices against the default budget of 10^8.
+        def unused(*args):
+            raise AssertionError("built before the budget check")
+
+        monkeypatch.setattr(constructions, "build_h_odd", unused)
+        monkeypatch.setattr(cli, "random_hosts", unused)
+        argv = "verify-ineq --k 1 --hosts random --count 1 --n-max 20000 --seed 0".split()
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "budget refusal: 199990000 host pairs exceed budget 100000000\n"
+        )
+
+    @pytest.mark.parametrize("budget, code", [("21", 0), ("20", 3)])
+    def test_host_pairs_against_the_budget(self, budget, code):
+        # A host on 7 vertices draws 21 pairs.
+        argv = ["--budget", budget, "verify-ineq", "--k", "1", "--hosts", "random",
+                "--count", "3", "--n-max", "7", "--seed", "0"]
+        assert main(argv) == code
 
     def test_k3_densities_past_the_int_to_str_limit(self, tmp_path):
         # Seed 5 draws a 5-vertex host whose exact k = 3 densities have

@@ -627,6 +627,14 @@ class TestSidecar:
             with pytest.raises(ValueError, match="unknown role for vertex 0"):
                 format_roles(forest)
 
+    def test_repeated_vertex_rejected(self):
+        # A later line for vertex 0 would overwrite the first one and leave
+        # phi (1, 1) on a 2-vertex graph.
+        graph = alternating_path(1)
+        text = "v 0 spine 0 0\nv 1 spine 1 1\nv 0 spine 0 1\n"
+        with pytest.raises(ValueError, match="repeated role line for vertex 0"):
+            parse_roles(text, graph)
+
     def test_unknown_role_rejected(self):
         # role_array would code the role -1 and recompute_phi would treat
         # the vertex as unpinned.

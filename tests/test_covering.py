@@ -165,6 +165,11 @@ class TestVerifyCovering:
     def test_blocks_pass(self, k):
         assert verify_covering(k, method="blocks").ok
 
+    def test_auto_counts_the_built_forest_then_sums_blocks(self):
+        # k = 13 is the last k whose forest fits the materialisation cap.
+        assert verify_covering(13).method == "tuples"
+        assert verify_covering(14).method == "blocks"
+
     def test_report_lines_and_records(self):
         report = verify_covering(2)
         assert "PASS" in report.lines()[0]

@@ -119,17 +119,50 @@ class TestForestDP:
         )
         below = {0: [0, 1, 2, 3, 4, 5], 1: [1], 2: [2, 3, 4, 5], 3: [3, 5], 4: [4], 5: [5]}
         g = random_graph(random.Random(31), 4)
-        lookup = {(u, v): c for u, v, c in g.edges}
-        lookup.update({(v, u): c for u, v, c in g.edges})
         tables = rooted_tables(h, g)
         for v, subtree in below.items():
-            edges = [(a, b, c) for a, b, c in h.edges if a in subtree and b in subtree]
-            expected = [0] * g.n
-            for images in product(range(g.n), repeat=len(subtree)):
-                at = dict(zip(subtree, images))
-                if all(lookup.get((at[a], at[b])) == c for a, b, c in edges):
-                    expected[at[v]] += 1
-            assert tables[v] == expected
+            assert tables[v] == _subtree_table(h, g, subtree, v)
+
+    def test_rooted_tables_in_vertex_order_when_the_walk_is_not(self):
+        # Relabelled forests, so that forest_orders visits the vertices out
+        # of index order and each table must be mapped back to its vertex.
+        rng = random.Random(2121)
+        shuffled = 0
+        for _ in range(60):
+            tree = random_forest(rng, rng.randint(2, 6))
+            perm = rng.sample(range(tree.n), tree.n)
+            h = EdgeColouredGraph.make(
+                tree.n, [(min(perm[u], perm[v]), max(perm[u], perm[v]), c) for u, v, c in tree.edges]
+            )
+            parent = {v: p for order in forest_orders(h) for v, p in order}
+            shuffled += list(parent) != list(range(h.n))
+            g = random_graph(rng, rng.randint(1, 3))
+            tables = rooted_tables(h, g)
+            for v in range(h.n):
+                subtree = [w for w in range(h.n) if _below(parent, w, v)]
+                assert tables[v] == _subtree_table(h, g, subtree, v), (h.edges, v)
+        assert shuffled >= 30
+
+
+def _below(parent: dict, w: int, v: int) -> bool:
+    """Whether w lies in the subtree below v under the parent map."""
+    while w is not None and w != v:
+        w = parent[w]
+    return w == v
+
+
+def _subtree_table(h: EdgeColouredGraph, g: EdgeColouredGraph, subtree: list[int], v: int) -> list[int]:
+    """Per host vertex, the maps of the subtree's vertices that keep every
+    edge of h inside it and send v there, counted one map at a time."""
+    lookup = {(u, w): c for u, w, c in g.edges}
+    lookup.update({(w, u): c for u, w, c in g.edges})
+    edges = [(a, b, c) for a, b, c in h.edges if a in subtree and b in subtree]
+    table = [0] * g.n
+    for images in product(range(g.n), repeat=len(subtree)):
+        at = dict(zip(subtree, images))
+        if all(lookup.get((at[a], at[b])) == c for a, b, c in edges):
+            table[at[v]] += 1
+    return table
 
 
 def _vertex_compiled(graph: EdgeColouredGraph) -> EdgeColouredGraph:
