@@ -13,6 +13,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 from . import constructions, covering, entropy, lpsearch, verify
@@ -30,11 +31,59 @@ def _write_forest(forest: constructions.LabelledForest, out: str) -> None:
     constructions.write_roles(forest, Path(out).with_suffix(".roles"))
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _scalars(values) -> bool:
+    return not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, values)))
+
+
+def _c_encode(value, pad: str) -> str:
+    # With indent None, CPython encodes in C; the indent=1 line breaks go
+    # into the item separator.  Only a separator puts a newline in the text,
+    # because strings escape theirs.
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + pad, ": ")).encode(value)
+
+
+def _dumps(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=1, sort_keys=True)`` with every line after
+    the first indented by ``pad``.  A container of scalars, and a list of
+    such dicts, is encoded in one call of the C encoder."""
+    if not isinstance(value, _CONTAINERS):
+        return json.dumps(value)
+    opening, closing = brackets = "{}" if isinstance(value, dict) else "[]"
+    if not value:
+        return brackets
+    inner = pad + " "
+    if _scalars(value.values() if opening == "{" else value):
+        text = _c_encode(value, inner)
+        return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
+    if opening == "{":
+        # The encoder's own key text: a str, int, float, bool or None key.
+        items = [f"{json.dumps({key: 0})[1:-4]}: {_dumps(item, inner)}"
+                 for key, item in sorted(value.items())]
+    elif (all(issubclass(kind, dict) for kind in set(map(type, value))) and all(map(len, value))
+          and _scalars(chain.from_iterable(map(dict.values, value)))):
+        # A list of nonempty dicts of scalars: a separator inside a dict
+        # follows a scalar and precedes a key, one between dicts follows
+        # "}" and precedes "{", so the replace finds exactly the latter.
+        deep = inner + " "
+        text = _c_encode(value, deep).replace(f"}},\n{deep}{{", f"\n{inner}}},\n{inner}{{\n{deep}")
+        return f"[\n{inner}{{\n{deep}{text[2:-2]}\n{inner}}}\n{pad}]"
+    else:
+        items = [_dumps(item, inner) for item in value]
+    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{closing}"
+
+
 def _emit(args, payload: dict) -> None:
+    """Write ``payload`` to the ``--json`` path, if one was given, as the
+    bytes of ``json.dump(payload, fh, indent=1, sort_keys=True)`` and a
+    newline.  The text is built before the file is opened, so a payload the
+    encoder refuses (ValueError, TypeError) leaves no file."""
     if getattr(args, "json", None):
+        text = _dumps(payload) + "\n"
         with open(args.json, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
 
 
 def cmd_construct(args) -> int:
@@ -91,6 +140,14 @@ def cmd_verify_covering(args) -> int:
     return EXIT_PASS if all_ok else EXIT_CHECK_FAILED
 
 
+# ``verify-ineq --hosts random`` refuses an ``--n-max`` with more pairs than
+# this, whatever the budget, before any host is drawn.  A drawn host peaks at
+# about 140 bytes per pair (``ru_maxrss`` above the interpreter, ``--k 1`` on
+# one host of 0.37M and one of 1.5M pairs), so a host at the cap peaks near
+# 1.1 GB.
+_MAX_HOST_PAIRS = 8_000_000
+
+
 def cmd_verify_ineq(args) -> int:
     if args.hosts == "random":
         if args.count < 1:
@@ -99,6 +156,10 @@ def cmd_verify_ineq(args) -> int:
             raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
         if (pairs := pair_count(args.n_max)) > args.budget:
             raise BudgetExceeded(f"{pairs} host pairs exceed budget {args.budget}", required=pairs)
+        if pairs > _MAX_HOST_PAIRS:
+            raise BudgetExceeded(
+                f"{pairs} host pairs exceed the per-host cap of {_MAX_HOST_PAIRS}", required=pairs
+            )
         hosts = partial(random_hosts, args.count, args.n_max, args.seed)
     else:
         from .ecgraph import enumerate_hosts, host_count

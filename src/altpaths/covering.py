@@ -12,7 +12,7 @@ verbatim by the LP feasibility search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .constructions import (
@@ -37,12 +37,13 @@ def cover_target(k: int) -> int:
 
 
 def _keep(k: int, terms: Iterable[tuple[str, int, int]]) -> Row:
-    row: Row = {}
-    for series, i, coeff in terms:
-        top = 2 * k if series == "y" else 2 * k + 1
-        if 0 <= i <= top and coeff:
-            row[(series, i)] = row.get((series, i), 0) + coeff
-    return row
+    # No row names a (series, index) twice (tests/test_covering.py checks
+    # every row up to k = 40), so each kept term is its own entry.
+    return {
+        (series, i): coeff
+        for series, i, coeff in terms
+        if coeff and 0 <= i <= (2 * k if series == "y" else 2 * k + 1)
+    }
 
 
 def vertex_cover_row(k: int, idx: int) -> Row:
@@ -104,8 +105,8 @@ def edge_cover_row(k: int, idx: int) -> Row:
 
 
 def _evaluate(row: Row, s: SequenceTriple) -> int:
-    lookup = {"x": s.x_at, "y": s.y_at, "z": s.z_at}
-    return sum(coeff * lookup[series](i) for (series, i), coeff in row.items())
+    # ``_keep`` dropped every index outside its series.
+    return sum(coeff * getattr(s, series)[i] for (series, i), coeff in row.items())
 
 
 def c_vertex(k: int, idx: int, s: SequenceTriple) -> int:
@@ -203,10 +204,13 @@ class CoverCheck:
     formula: int
     counted: int     # direct count including the spine contribution
     target: int
+    ok: bool = field(init=False)
 
-    @property
-    def ok(self) -> bool:
-        return self.formula == self.target and self.counted == self.formula + 1
+    def __post_init__(self):
+        # Computed once: the report's verdict, its text lines and its
+        # records all read it.
+        ok = self.formula == self.target and self.counted == self.formula + 1
+        object.__setattr__(self, "ok", ok)
 
 
 @dataclass(frozen=True)

@@ -435,12 +435,15 @@ _WRITE_ROWS = 1 << 16
 
 def _ecg_pieces(g: EdgeColouredGraph) -> Iterator[str]:
     """The ``.ecg`` text of a graph in pieces of at most ``_WRITE_ROWS``
-    lines, formatted from the columns of ``edge_array()``, so no edge tuple
-    is built."""
+    lines, formatted from the columns of an array-built graph's edge array,
+    so no edge tuple is built, and from a tuple-built graph's edge tuple, so
+    no array is built and numpy is not loaded."""
     yield f"ecg 1\nn {g.n}\n"
-    e = g.edge_array()
-    for start in range(0, len(e), _WRITE_ROWS):
-        u, v, c = e[start:start + _WRITE_ROWS].T.tolist()
+    arr = g.__dict__.get("_edge_arr")
+    edges = g.edges if arr is None else arr
+    for start in range(0, len(edges), _WRITE_ROWS):
+        piece = edges[start:start + _WRITE_ROWS]
+        u, v, c = zip(*piece) if arr is None else piece.T.tolist()
         yield "".join(map("e {} {} {}\n".format, u, v, map(_LETTERS.__getitem__, c)))
 
 

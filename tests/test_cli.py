@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -7,12 +8,14 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import altpaths
 from altpaths import cli, constructions, covering, lpsearch
 from altpaths.cli import main
 from altpaths.constructions import alternating_path, parse_roles
-from altpaths.ecgraph import BLUE, RED, EdgeColouredGraph, host_from_index, read_ecg, write_ecg
+from altpaths.ecgraph import BLUE, RED, Colour, EdgeColouredGraph, host_from_index, read_ecg, write_ecg
 from helpers import path_walk_oracle
 
 TRIANGLE = EdgeColouredGraph.make(3, [(0, 1, RED), (1, 2, BLUE), (0, 2, RED)])
@@ -167,6 +170,32 @@ class TestPinnedOutputs:
         assert main(["--json", str(report), *argv]) == 0
         assert self.digest(report) == sha
 
+    @pytest.mark.parametrize("argv, code, sha", [
+        (["construct", "--k", "2", "--out", "h5.ecg"], 0,
+         "b787eab21cf5ed4536aab717db7d1ea00bfaf14c60defb1941ca1ab671f55bc0"),
+        (["hom", "--pattern", "p3.ecg", "--host", "tri.ecg"], 0,
+         "9491e714cbe8ca942855cdf578863c0213070fdf48a318ed8cd890069e99a938"),
+        (["density", "--pattern", "p3.ecg", "--host", "tri.ecg"], 0,
+         "a82fee0b96fe7e3f0509ed274bed66943e61655da6b9c75e32303c2e34a78610"),
+        (["bound-check", "--odd", "--pattern-k", "1", "--exhaustive", "4"], 0,
+         "e08aae9f8d58c39af6eda4bd99c51407061e555d0c15508cf8879f73108dd1d5"),
+        (["bound-check", "--odd", "--pattern-k", "1", "--tightness", "3,6,9"], 0,
+         "e325a23ffe6cb63f48be1339fac3acd2fa01e4c3d90800e9fb6eb6f005c38193"),
+        (["lp-search", "--k", "3"], 0,
+         "79d62411f66ad89011ad0b28380cb970d0b8e4beddc6d40d2cac49f96a301326"),
+        (["lp-search", "--k", "2", "--extra", "z2.json"], 1,
+         "859049ad9e91cdb63177cdeb033215d68c0bd532eb5655a5f92ca8851530bf26"),
+    ])
+    def test_json_report_shapes(self, tmp_path, monkeypatch, p3_file, triangle_file,
+                                argv, code, sha):
+        # The other report shapes: flat dicts, lists of ints and an
+        # infeasible LP.  Paths are relative to tmp_path, which holds the
+        # fixture pair, because ``construct`` reports its ``--out``.
+        monkeypatch.chdir(tmp_path)
+        Path("z2.json").write_text('[{"coeffs": {"z2": "1"}, "relation": "=", "rhs": "0"}]')
+        assert main(["--json", "report.json", *argv]) == code
+        assert self.digest("report.json") == sha
+
     def test_construct_k4_files(self, tmp_path):
         assert main(["construct", "--k", "4", "--out", str(tmp_path / "h9.ecg")]) == 0
         assert self.digest(tmp_path / "h9.ecg") == (
@@ -244,6 +273,20 @@ class TestVerifyIneq:
         assert capsys.readouterr().err == (
             "budget refusal: 199990000 host pairs exceed budget 100000000\n"
         )
+
+    def test_host_pairs_against_the_per_host_cap(self, capsys, monkeypatch):
+        # 97,993,000 pairs on 14,000 vertices: under the default budget of
+        # 10^8, over the per-host cap.
+        def unused(*args):
+            raise AssertionError("drawn before the cap check")
+
+        monkeypatch.setattr(cli, "random_hosts", unused)
+        argv = "verify-ineq --k 1 --hosts random --count 1 --n-max 14000 --seed 0".split()
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "budget refusal: 97993000 host pairs exceed the per-host cap of 8000000\n"
+        )
+        assert cli.pair_count(4000) <= cli._MAX_HOST_PAIRS < cli.pair_count(4001)
 
     @pytest.mark.parametrize("budget, code", [("21", 0), ("20", 3)])
     def test_host_pairs_against_the_budget(self, budget, code):
@@ -352,6 +395,57 @@ class TestEntropyCheck:
         assert main(argv) == 0
         assert "glued distribution skipped" in capsys.readouterr().out
         assert json.loads(report.read_text())["glued_ok"] is None
+
+
+_TRICKY_TEXT = st.sampled_from(['},\n  {', '"', '{"', '"}', "}", "[", ",\n", "\u00e9\x00\x1f\u2028"])
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(),
+    _TRICKY_TEXT,
+    st.sampled_from(list(Colour)),
+)
+
+
+def _keyed(values):
+    # One key type per dict: the encoder sorts the keys, and a str key
+    # does not compare with a number or None.
+    return st.one_of(
+        st.dictionaries(st.text() | _TRICKY_TEXT, values),
+        st.dictionaries(st.integers() | st.booleans() | st.floats(allow_nan=False), values),
+        st.dictionaries(st.none(), values),
+    )
+
+
+_RECORDS = st.lists(_keyed(_SCALARS))
+_VALUES = st.recursive(
+    _SCALARS | _RECORDS,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | _keyed(inner) | _RECORDS,
+    max_leaves=12,
+)
+
+
+class TestReportWriter:
+    """``cli._emit`` writes the bytes ``json.dump(payload, fh, indent=1,
+    sort_keys=True)`` wrote, through the C encoder."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_VALUES)
+    def test_same_text_as_json_dumps(self, value):
+        assert cli._dumps(value) == json.dumps(value, indent=1, sort_keys=True)
+
+    @pytest.mark.parametrize("payload", [
+        {"value": 10**5000},
+        {"records": [{"k": 1}, {"k": 10**5000}], "pass": True},
+        {"nested": [[1, 2], {"k": [10**5000]}]},
+    ])
+    def test_int_past_the_digit_limit_leaves_no_report(self, tmp_path, payload):
+        report = tmp_path / "report.json"
+        with pytest.raises(ValueError):
+            cli._emit(argparse.Namespace(json=str(report)), payload)
+        assert not report.exists()
 
 
 def test_commands_leave_built_forest_tuples_unbuilt(tmp_path, monkeypatch):

@@ -52,6 +52,22 @@ class TestClosedForms:
         assert all(0 <= i for (_, i) in row)
         assert ("x", 1) in row and ("x", -1) not in row
 
+    def test_no_row_names_a_term_twice(self, monkeypatch):
+        # ``_keep`` makes each in-range term its own entry, without a merge.
+        real = covering._keep
+
+        def distinct(k, terms):
+            keys = [(series, i) for series, i, _ in terms]
+            assert len(set(keys)) == len(keys), (k, terms)
+            return real(k, terms)
+
+        monkeypatch.setattr(covering, "_keep", distinct)
+        for k in range(1, 41):
+            for idx in range(2 * k + 2):
+                vertex_cover_row(k, idx)
+            for idx in range(2 * k + 1):
+                edge_cover_row(k, idx)
+
     def test_row_index_bounds(self):
         with pytest.raises(ValueError):
             vertex_cover_row(2, 6)
@@ -176,6 +192,23 @@ class TestVerifyCovering:
         records = report.records()
         assert len(records) == (2 * 2 + 2) + (2 * 2 + 1)
         assert all(r["ok"] for r in records)
+
+    def test_a_wrong_count_fails_in_every_output(self, monkeypatch):
+        real = covering.cover_profile_blocks
+
+        def one_too_many(length, plan):
+            profile = real(length, plan)
+            vertex_cover = (profile.vertex_cover[0] + 1, *profile.vertex_cover[1:])
+            return covering.CoverProfile(vertex_cover, profile.edge_cover)
+
+        monkeypatch.setattr(covering, "cover_profile_blocks", one_too_many)
+        report = verify_covering(2, method="blocks")
+        assert not report.ok
+        assert [(c.kind, c.index) for c in report.failures()] == [("vertex", 0)]
+        lines = report.lines()
+        assert lines[0].endswith("FAIL") and len(lines) == 2
+        assert lines[1] == "  MISMATCH vertex 0: formula=90 counted=92 target=90"
+        assert [r["ok"] for r in report.records()].count(False) == 1
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):

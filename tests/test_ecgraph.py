@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import altpaths
+from altpaths import ecgraph
 from altpaths.constructions import alternating_path, plan_odd, plan_sizes, sequences
 from altpaths.ecgraph import (
     BLUE,
@@ -212,17 +213,24 @@ class TestEcgFormat:
             g = random_host(rng.randint(0, 8), rng)
             assert parse_ecg(format_ecg(g)) == g
 
-    def test_matches_the_tuple_writer(self):
+    def test_matches_the_tuple_writer(self, monkeypatch):
         # Byte for byte against the writer that read the edge tuples, on
-        # tuple-built graphs and on their array-built twins.
-        rng = random.Random(1515)
-        graphs = [random_graph(rng, rng.randint(0, 9)) for _ in range(60)]
-        graphs += [EdgeColouredGraph.make(5, []), EdgeColouredGraph.make(0, []), TRIANGLE]
-        for g in graphs:
-            twin = EdgeColouredGraph.from_edge_array(g.n, g.edge_array().copy())
-            text = format_ecg(twin)
-            assert "edges" not in vars(twin)
-            assert text == format_ecg(g) == format_ecg_oracle(g)
+        # tuple-built graphs, formatted from their tuples, and on their
+        # array-built twins, formatted from their arrays, in pieces of the
+        # default size and of 3 lines.
+        for rows in (ecgraph._WRITE_ROWS, 3):
+            monkeypatch.setattr(ecgraph, "_WRITE_ROWS", rows)
+            rng = random.Random(1515)
+            graphs = [random_graph(rng, rng.randint(0, 9)) for _ in range(60)]
+            graphs += [EdgeColouredGraph.make(n, edges) for n, edges in
+                       ((5, []), (0, []), (TRIANGLE.n, TRIANGLE.edges))]
+            for g in graphs:
+                tuple_text = format_ecg(g)
+                assert "_edge_arr" not in vars(g)
+                twin = EdgeColouredGraph.from_edge_array(g.n, g.edge_array().copy())
+                text = format_ecg(twin)
+                assert "edges" not in vars(twin)
+                assert text == tuple_text == format_ecg_oracle(g)
         assert format_ecg(EdgeColouredGraph.make(0, [])) == "ecg 1\nn 0\n"
 
     def test_vertex_cap(self):
@@ -396,6 +404,18 @@ class TestNumpyLoad:
             "assert counts == (len(g.edges), stats.e_r, stats.e_b), counts\n"
             "assert '_edge_arr' not in vars(g)\n"
             "assert not any(m.startswith('numpy.') for m in sys.modules)\n"
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_writing_a_tuple_built_host_builds_no_array(self, tmp_path):
+        result = self.run(
+            "import sys\n"
+            "from altpaths.ecgraph import host_from_index, read_ecg, write_ecg\n"
+            "g = host_from_index(5, 12345)\n"
+            f"write_ecg(g, {str(tmp_path / 'h.ecg')!r})\n"
+            "assert '_edge_arr' not in vars(g)\n"
+            "assert not any(m.startswith('numpy.') for m in sys.modules)\n"
+            f"assert read_ecg({str(tmp_path / 'h.ecg')!r}) == g\n"
         )
         assert result.returncode == 0, result.stderr
 
