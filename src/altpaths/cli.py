@@ -415,6 +415,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.budget < 0:
+            raise ValueError(f"--budget must be >= 0, got {args.budget}")
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)

@@ -420,10 +420,12 @@ def random_host(n: int, rng: random.Random) -> EdgeColouredGraph:
     return EdgeColouredGraph.make(n, edges)
 
 
-def random_hosts(count: int, n_max: int, seed: int) -> list[EdgeColouredGraph]:
-    """Deterministic corpus of random hosts with n drawn from 1..n_max."""
+def random_hosts(count: int, n_max: int, seed: int) -> Iterator[EdgeColouredGraph]:
+    """Deterministic corpus of random hosts with n drawn from 1..n_max,
+    drawn one at a time as they are read."""
     rng = random.Random(seed)
-    return [random_host(rng.randint(1, n_max), rng) for _ in range(count)]
+    for _ in range(count):
+        yield random_host(rng.randint(1, n_max), rng)
 
 
 # -- .ecg text format ----------------------------------------------------

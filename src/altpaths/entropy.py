@@ -12,17 +12,21 @@ distribution that extends a random spine homomorphism over a decorated
 forest one conditionally-independent vertex at a time, and the closed-form
 entropy of that gluing.  The gluing counts its states before it builds
 any, carries each state as a tuple of images with one integer weight, and
-crosses the components as two parallel streams, images and weights.
+crosses the components' weights into one list.  Every glued state is a
+distinct outcome, so the entropy is read from that list alone; the image
+tuples are crossed and keyed by outcome only when something reads them.
 """
 
 from __future__ import annotations
 
 import gc
 import math
+from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 from itertools import product, repeat, starmap
 from operator import add, countOf, itemgetter, mul
-from typing import Collection, Hashable, Iterable, Mapping, Optional
+from typing import Callable, Collection, Hashable, Iterable, Iterator, Mapping, Optional
 
 from .constructions import LabelledForest, homomorphism_violation
 from .ecgraph import BudgetExceeded, EdgeColouredGraph, require_valid
@@ -40,7 +44,9 @@ class DiscreteDistribution:
 
     Held as integer weights over one positive denominator: outcome o has
     probability _mass[o] / _denominator.  Outcomes, support, length,
-    marginals, equality and entropy are read from the weights.
+    marginals, equality and entropy are read from the weights.  A glued
+    distribution holds its weights as the list _weights and builds _mass
+    on first read, from _keys(), its outcomes in the weights' order.
     """
 
     def __init__(self, prob: Mapping[Hashable, Fraction | int]):
@@ -73,20 +79,43 @@ class DiscreteDistribution:
     def _adopt(cls, weights: dict, denominator: int) -> "DiscreteDistribution":
         """``from_weights`` that keeps the dict itself: for a dict built
         for the new distribution alone, which a copy would only double."""
+        d = cls._checked(weights.values(), denominator, weights.items)
+        d._mass = weights
+        return d
+
+    @classmethod
+    def _checked(cls, values: Collection[int], denominator: int, items: Callable) -> "DiscreteDistribution":
+        """A distribution over the denominator with no weights set, once the
+        weights ``values`` are checked to be nonnegative integers that sum
+        to it; ``items()`` gives the (outcome, weight) pairs, and is read
+        only to name a bad weight."""
         if not isinstance(denominator, int) or denominator <= 0:
             raise ValueError(f"denominator {denominator!r} is not a positive integer")
-        values = weights.values()
         if not (all(map(isinstance, values, repeat(int))) and min(values, default=0) >= 0):
-            for outcome, w in weights.items():
+            for outcome, w in items():
                 if not isinstance(w, int) or w < 0:
                     raise ValueError(f"weight {w!r} for {outcome!r} is not a nonnegative integer")
         total = sum(values)
         if total != denominator:
             raise ValueError(f"weights sum to {total}, not the denominator {denominator}")
         d = cls.__new__(cls)
-        d._mass = weights
         d._denominator = denominator
         return d
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute missing from the instance: the keyed
+        # mass of a glued distribution before its first read.
+        keys = self.__dict__.get("_keys")
+        if name != "_mass" or keys is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        weights = self._weights
+        with _collector_held():
+            mass = dict(zip(keys(), weights))
+        if len(mass) != len(weights):
+            raise ArithmeticError(f"{len(weights)} glued weights have {len(mass)} distinct outcomes")
+        self._mass = mass
+        del self._keys, self._weights
+        return mass
 
     def probability(self, outcome) -> Fraction:
         return Fraction(self._mass.get(outcome, 0), self._denominator)
@@ -128,8 +157,11 @@ def uniform(outcomes: Iterable[Hashable]) -> DiscreteDistribution:
 
 
 def entropy(d: DiscreteDistribution) -> float:
-    """Shannon entropy in bits; 0 log 0 handled by summing the support."""
-    return _entropy_of_weights(d._mass.values(), d._denominator)
+    """Shannon entropy in bits; 0 log 0 handled by summing the support.
+    A glued distribution whose outcomes are not yet keyed is read from its
+    weight list, which is in the order of the keyed weights."""
+    weights = d.__dict__.get("_weights")
+    return _entropy_of_weights(d._mass.values() if weights is None else weights, d._denominator)
 
 
 def _entropy_of_weights(weights: Collection[int], den: int) -> float:
@@ -415,6 +447,31 @@ def _state_counts(
     return counts
 
 
+@contextmanager
+def _collector_held():
+    """The cyclic collector off for the block, and on again after it only
+    if it was on.  Glued states and keys are tuples the collector would walk
+    again and again while they are allocated; none of them can be part of
+    a cycle."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _glued_keys(parts: list, key_of: Callable) -> Iterator[tuple]:
+    """The glued outcomes in the order of the glued weights: the component
+    image lists crossed, earlier components outermost, and each crossed
+    tuple put into vertex order."""
+    images: Iterable[tuple] = [()]
+    for component_images in parts:
+        images = starmap(add, product(images, component_images))
+    return map(key_of, images)
+
+
 def glued_distribution(
     h: LabelledForest,
     p: EdgeColouredGraph,
@@ -435,8 +492,10 @@ def glued_distribution(
     spine image and L is their lcm, so every weight shares one denominator.
     The guard is checked against the counted states after every vertex and
     every component (``_state_counts``) before any state is built.  Each
-    component is crossed in as it is built, by one pairwise product of the
-    image stream and one of the weight stream, earlier components outermost.
+    component's weights are crossed in as it is built, earlier components
+    outermost, and the weights are checked before the distribution is
+    returned.  Its image lists are kept, and crossed and keyed in vertex
+    order (``_glued_keys``) on the first read of the outcomes.
     """
     bad = homomorphism_violation(h)
     if bad is not None:
@@ -448,14 +507,10 @@ def glued_distribution(
     orders = _forest_bfs_orders(h)
     spine_steps = {(h.phi[v], h.phi[u]) for order in orders for v, u in order[1:]}
     factors = {step: _weight_factors(marg, *step) for step in spine_steps}
-    # The states are tuples the cyclic collector would walk again and again
-    # while they are allocated; none of them can be part of a cycle.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
+    with _collector_held():
         counts = _state_counts(h, marg, orders, factors, guard)
-        images: Iterable[tuple] = [()]
-        weights: Iterable[int] = [1]
+        parts = []
+        weights = [1]
         denominator = 1
         for order, count in zip(orders, counts):
             position = {v: i for i, (v, _) in enumerate(order)}
@@ -473,18 +528,19 @@ def glued_distribution(
                 denominator *= lcm
             if len(states) != count:
                 raise ArithmeticError(f"built {len(states)} component states, the tree count is {count}")
-            # Cross the component in; every per-state step runs in C.
+            # Cross the weights in; every per-state step runs in C.
             component_images, component_weights = zip(*states)
-            images = starmap(add, product(images, component_images))
+            parts.append(component_images)
             weights = starmap(mul, product(weights, component_weights))
+        weights = list(weights)
 
-        walked = {v: i for i, (v, _) in enumerate(pair for order in orders for pair in order)}
-        perm = [walked[v] for v in range(h.graph.n)]
-        key_of = itemgetter(*perm) if len(perm) > 1 else tuple
-        return DiscreteDistribution._adopt(dict(zip(map(key_of, images), weights)), denominator)
-    finally:
-        if collecting:
-            gc.enable()
+    walked = {v: i for i, (v, _) in enumerate(pair for order in orders for pair in order)}
+    perm = [walked[v] for v in range(h.graph.n)]
+    keys = partial(_glued_keys, parts, itemgetter(*perm) if len(perm) > 1 else tuple)
+    d = DiscreteDistribution._checked(weights, denominator, lambda: zip(keys(), weights))
+    d._weights = weights
+    d._keys = keys
+    return d
 
 
 def closed_form_entropy(

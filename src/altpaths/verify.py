@@ -173,7 +173,9 @@ def _densities(
         if g.n == 0:
             raise ValueError("density undefined for a host with no vertices")
         # hom_forest, not hom(): H must be a forest, and hom() would brute-force a cyclic H.
-        yield _HostCounts(k, m, g, hom_forest(spine, g), hom_forest(h.graph, g))
+        counts = _HostCounts(k, m, g, hom_forest(spine, g), hom_forest(h.graph, g))
+        del g       # a host drawn as it is read is freed before the next is drawn
+        yield counts
 
 
 def _path_vs_forest(c: _HostCounts) -> InequalityReport:

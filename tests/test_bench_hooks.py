@@ -4,8 +4,12 @@ figure would read zero.  These tests keep those names alive."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
+import sys
 from pathlib import Path
+
+import pytest
 
 RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
@@ -44,3 +48,45 @@ def test_counter_hooks_are_functions():
     assert hooks
     for name in hooks:
         assert inspect.isfunction(_resolve(name)), name
+
+
+class _HookTaker:
+    """Stands in for perfbench's Tracer: keeps the counter hooks that
+    ``install_tracer`` hands it and the counts they make, wraps nothing."""
+
+    def __init__(self):
+        self.hooks, self.counters = {}, {}
+
+    def install(self, modules, hooks, private=()):
+        self.hooks.update(hooks)
+
+    def install_method(self, cls, method, name, hook=None):
+        pass
+
+    def count(self, key, amount=1):
+        self.counters[key] = self.counters.get(key, 0) + amount
+
+
+def test_glued_hook_counts_states_and_refusals(monkeypatch):
+    # The traced entropy figures: the glued states of a returned
+    # distribution, and a refusal for a gluing refused by its guard.
+    from altpaths.constructions import alternating_path, fixture
+    from altpaths.ecgraph import BudgetExceeded, host_from_index
+    from altpaths.entropy import glued_distribution
+
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("perfbench_run", RUN)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    tracer = _HookTaker()
+    run.install_tracer(tracer)
+    hook = tracer.hooks["entropy.glued_distribution"]
+
+    g = host_from_index(4, 44)
+    args = (fixture("H3_large"), alternating_path(3), g)
+    hook(args, {"guard": 30_000}, glued_distribution(*args, guard=30_000), None)
+    args = (fixture("H5"), alternating_path(5), g)
+    with pytest.raises(BudgetExceeded) as refused:
+        glued_distribution(*args, guard=30_000)
+    hook(args, {"guard": 30_000}, None, refused.value)
+    assert tracer.counters == {"entropy.glued_states": 23_328, "entropy.refusals": 1}

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import altpaths
-from altpaths import cli, constructions, covering, lpsearch
+from altpaths import cli, constructions, covering, ecgraph, entropy, lpsearch
 from altpaths.cli import main
 from altpaths.constructions import alternating_path, parse_roles
 from altpaths.ecgraph import BLUE, RED, Colour, EdgeColouredGraph, host_from_index, read_ecg, write_ecg
@@ -253,6 +254,22 @@ class TestVerifyIneq:
         assert code == 0
         assert "0 violations" in capsys.readouterr().out
 
+    def test_random_hosts_held_one_at_a_time(self, monkeypatch):
+        # Each host is counted and released before the next one is drawn.
+        drawn = []
+        random_host = ecgraph.random_host
+
+        def draw(n, rng):
+            assert all(ref() is None for ref in drawn), "an earlier host is still held"
+            g = random_host(n, rng)
+            drawn.append(weakref.ref(g))
+            return g
+
+        monkeypatch.setattr(ecgraph, "random_host", draw)
+        argv = "verify-ineq --k 1 --hosts random --count 6 --n-max 6 --seed 3".split()
+        assert main(argv) == 0
+        assert len(drawn) == 6
+
     def test_exhaustive_tiny(self):
         assert main(["verify-ineq", "--k", "1", "--hosts", "exhaustive", "--n", "2"]) == 0
 
@@ -385,6 +402,23 @@ class TestEntropyCheck:
         assert main(["entropy-check", "--fixture", "H5", "--host", str(host)]) == 0
         assert "glued distribution skipped" in capsys.readouterr().out
 
+    def test_glued_outcomes_never_keyed(self, tmp_path, capsys, monkeypatch):
+        # The check reads the glued entropy alone, from the weight list.
+        glued = []
+        glue = entropy.glued_distribution
+
+        def kept(*args, **kwargs):
+            glued.append(glue(*args, **kwargs))
+            return glued[-1]
+
+        monkeypatch.setattr(entropy, "glued_distribution", kept)
+        host = tmp_path / "h44.ecg"
+        write_ecg(host_from_index(4, 44), host)
+        assert main(["entropy-check", "--fixture", "H3_large", "--host", str(host)]) == 0
+        assert "glued entropy" in capsys.readouterr().out
+        assert len(glued) == 1 and "_mass" not in vars(glued[0])
+        assert len(glued[0].outcomes()) == 23_328 and "_weights" not in vars(glued[0])
+
     def test_gluing_capped_below_the_default_budget(self, tmp_path, capsys):
         # H3_large on host 122 of n = 4 glues 2,097,152 states: under the
         # default budget, above the gluing cap, so it is refused unbuilt.
@@ -503,6 +537,8 @@ class TestErrorPaths:
         ("verify-ineq --k 1 --hosts random --count -3", None),
         ("bound-check --pattern-k 1 --odd --tightness 0", None),
         ("bound-check --pattern-k 1 --odd --tightness -3", None),
+        ("--budget -5 entropy-check --fixture H3_small --host missing.ecg", None),
+        ("--budget -1 verify-ineq --k 1 --hosts exhaustive --n 2", None),
     ])
     def test_bad_input_exits_2(self, tmp_path, capsys, command, extra):
         argv = command.split()
@@ -513,6 +549,16 @@ class TestErrorPaths:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_negative_budget_names_the_flag(self, capsys, monkeypatch):
+        # Refused before the fixture is built or the host is read.
+        def unused(*args):
+            raise AssertionError("worked before the budget check")
+
+        monkeypatch.setattr(constructions, "fixture", unused)
+        assert main("--budget -5 entropy-check --fixture H3_small --host missing.ecg".split()) == 2
+        assert capsys.readouterr().err == "error: --budget must be >= 0, got -5\n"
+        assert main("--budget 0 verify-ineq --k 1 --hosts exhaustive --n 1".split()) == 3
 
     @pytest.mark.parametrize("n_max", ["0", "-2"])
     def test_n_max_below_one_names_the_flag(self, capsys, n_max):

@@ -28,6 +28,7 @@ from altpaths.ecgraph import (
     host_from_index,
     parse_ecg,
     random_host,
+    random_hosts,
     require_valid,
     symmetric_residues,
     validate,
@@ -265,6 +266,16 @@ class TestEcgFormat:
 @given(st.integers(0, 8), st.randoms(use_true_random=False))
 def test_generated_graphs_always_validate(n, rng):
     assert validate(random_host(n, rng)) is None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_hosts_drawn_lazily_in_the_list_order(seed):
+    # The hosts the list comprehension drew before the corpus became lazy.
+    rng = random.Random(seed)
+    drawn = [random_host(rng.randint(1, 7), rng) for _ in range(25)]
+    hosts = random_hosts(25, 7, seed)
+    assert iter(hosts) is hosts
+    assert list(hosts) == drawn
 
 
 def test_colour_order():

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 
 import pytest
@@ -520,9 +521,58 @@ def _check_against_oracle(h, g, guard, outcomes):
         assert new == old
         outcomes.add(old[0])
     else:
+        assert "_mass" not in vars(new)
+        before_keys = entropy(new)
         assert list(new.items()) == list(old.items())
-        assert entropy(new) == entropy(old)
+        assert "_weights" not in vars(new)
+        assert before_keys == entropy(new) == entropy(old)
         outcomes.add("glued")
+
+
+class TestLazyKeys:
+    """The glued distribution returns its weight list checked and keys its
+    outcomes on first read; ``_check_against_oracle`` reads the entropy
+    before and after the keys, and compares both with the oracle's."""
+
+    def test_h3_fixtures_on_the_other_four_vertex_hosts(self):
+        # TestGluedAgainstOracle covers the 96 hosts with homomorphisms of
+        # both spines; these are the remaining 633 of the 729.
+        spine = alternating_path(5)
+        hosts = [host_from_index(4, i) for i in range(host_count(4))]
+        hosts = [g for g in hosts if not hom_forest(spine, g)]
+        assert len(hosts) == 633
+        outcomes = set()
+        for name in ("H3_small", "H3_large"):
+            h = fixture(name)
+            for g in hosts:
+                _check_against_oracle(h, g, 30_000, outcomes)
+        assert outcomes == {"glued", "refused", "empty"}
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda f: f + 1, "weights sum to"),
+        (lambda f: -f, r"weight -\d+ for \(.*\) is not a nonnegative integer"),
+    ])
+    def test_corrupted_row_raises_at_call_time(self, monkeypatch, corrupt, message):
+        factors = entropy_module._weight_factors
+
+        def corrupted(*args):
+            rows, lcm = factors(*args)
+            row = next(iter(rows.values()))
+            row[0] = row[0][0], corrupt(row[0][1])
+            return rows, lcm
+
+        monkeypatch.setattr(entropy_module, "_weight_factors", corrupted)
+        with pytest.raises(ValueError, match=message):
+            glued_distribution(fixture("H3_small"), alternating_path(3), C4)
+
+    def test_keys_one_outcome_per_weight(self):
+        h = fixture("H3_small")
+        d = glued_distribution(h, alternating_path(3), C4)
+        weights = d._weights
+        d._keys = lambda: repeat(h.phi, len(weights))
+        with pytest.raises(ArithmeticError, match="have 1 distinct outcomes"):
+            d.outcomes()
+        assert "_mass" not in vars(d) and d._weights is weights
 
 
 class TestGluedAgainstOracle:

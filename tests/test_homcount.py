@@ -208,14 +208,14 @@ class TestBlockPlan:
     def test_equal_hom_on_seeded_hosts_at_large_k(self, k):
         forest = build_h_odd(k)
         oracle = _vertex_compiled(forest.graph)
-        hosts = random_hosts(6, 6, seed=900 + k) + [host_from_index(4, i) for i in (44, 156, 424)]
+        hosts = list(random_hosts(6, 6, seed=900 + k)) + [host_from_index(4, i) for i in (44, 156, 424)]
         assert any(hom_forest(oracle, g) for g in hosts)
         for g in hosts:
             assert hom_forest(forest.graph, g) == hom_forest(oracle, g), g.canonical_key()
 
     def test_equal_hom_on_random_triples(self):
         rng = random.Random(1313)
-        hosts = [host_from_index(4, i) for i in (44, 156, 424, 481)] + random_hosts(4, 5, seed=1314)
+        hosts = [host_from_index(4, i) for i in (44, 156, 424, 481)] + list(random_hosts(4, 5, seed=1314))
         for _ in range(200):
             s = random_triple(rng)
             forest = materialise(2 * s.k + 1, plan_odd(s.k, s))
@@ -225,7 +225,7 @@ class TestBlockPlan:
 
     def test_equal_hom_on_random_plans(self):
         rng = random.Random(1315)
-        hosts = [host_from_index(4, i) for i in (44, 156, 424, 481)] + random_hosts(4, 5, seed=1316)
+        hosts = [host_from_index(4, i) for i in (44, 156, 424, 481)] + list(random_hosts(4, 5, seed=1316))
         for length in (1, 3, 5):
             built = 0
             while built < 40:

@@ -135,7 +135,7 @@ class TestInequalityPair:
     def test_views_are_the_halves(self):
         for k in (1, 2, 3):
             h = build_h_odd(k)
-            hosts = random_hosts(12, 6, seed=70 + k)
+            hosts = list(random_hosts(12, 6, seed=70 + k))
             reports = verify.check_inequalities(h, k, hosts)
             assert [r.name for r in reports[:2]] == ["path-vs-forest", "forest-vs-path"]
             for g, ph, hp in zip(hosts, reports[::2], reports[1::2]):
@@ -147,7 +147,7 @@ class TestInequalityPair:
             raise AssertionError("the other half was formed")
 
         h = build_h_odd(2)
-        hosts = random_hosts(12, 6, seed=72)
+        hosts = list(random_hosts(12, 6, seed=72))
         assert any(hom_forest(alternating_path(5), g) for g in hosts)
         expected = verify.check_inequalities(h, 2, hosts)
         with monkeypatch.context() as m:
@@ -225,7 +225,7 @@ class TestRootComparator:
         rng = random.Random(170)
         spine_homs = 0
         for k in (1, 2, 3, 4):
-            hosts = random_hosts(12, 6, seed=170 + k)
+            hosts = list(random_hosts(12, 6, seed=170 + k))
             for n in (5, 6, 6):
                 pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
                 hosts.append(EdgeColouredGraph.make(n, [(u, v, rng.choice((RED, BLUE))) for u, v in pairs]))
@@ -280,7 +280,7 @@ class TestRootComparator:
             return bound_power(k, exponent)
 
         monkeypatch.setattr(verify, "_bound_power", tracked)
-        hosts = random_hosts(12, 6, seed=172)
+        hosts = list(random_hosts(12, 6, seed=172))
         assert any(hom_forest(alternating_path(5), g) for g in hosts)
         reports = verify.check_inequalities(h, k, hosts)
         verdicts = [r.holds for r in reports]
