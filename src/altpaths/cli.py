@@ -12,12 +12,12 @@ import json
 import math
 import sys
 from fractions import Fraction
-from functools import partial
 from itertools import chain
 from pathlib import Path
 
 from . import constructions, covering, entropy, lpsearch, verify
-from .ecgraph import BudgetExceeded, pair_count, random_hosts, read_ecg, write_ecg
+from .ecgraph import (BudgetExceeded, enumerate_hosts, host_count, pair_count, random_hosts,
+                      read_ecg, write_ecg)
 from .homcount import density, hom, hom_forest
 
 EXIT_PASS = 0
@@ -110,19 +110,13 @@ def cmd_construct(args) -> int:
     return EXIT_PASS
 
 
-def cmd_hom(args) -> int:
-    value = hom(read_ecg(args.pattern), read_ecg(args.host), budget=args.budget, method=args.method)
-    text = verify.digits(value)
+def cmd_count(args) -> int:
+    """``hom`` prints the exact count, ``density`` the exact density."""
+    count, show = (hom, verify.digits) if args.command == "hom" else (density, verify.fraction_text)
+    value = count(read_ecg(args.pattern), read_ecg(args.host), budget=args.budget, method=args.method)
+    text = show(value)
     print(text)
-    _emit(args, {"command": "hom", "value": text})
-    return EXIT_PASS
-
-
-def cmd_density(args) -> int:
-    value = density(read_ecg(args.pattern), read_ecg(args.host), budget=args.budget, method=args.method)
-    text = verify.fraction_text(value)
-    print(text)
-    _emit(args, {"command": "density", "value": text})
+    _emit(args, {"command": args.command, "value": text})
     return EXIT_PASS
 
 
@@ -160,17 +154,15 @@ def cmd_verify_ineq(args) -> int:
             raise BudgetExceeded(
                 f"{pairs} host pairs exceed the per-host cap of {_MAX_HOST_PAIRS}", required=pairs
             )
-        hosts = partial(random_hosts, args.count, args.n_max, args.seed)
+        hosts = random_hosts(args.count, args.n_max, args.seed)
     else:
-        from .ecgraph import enumerate_hosts, host_count
-
         needed = host_count(args.n)
         if needed > args.budget:
             raise BudgetExceeded(
                 f"{needed} hosts exceed budget {args.budget}", required=needed
             )
-        hosts = partial(enumerate_hosts, args.n)
-    reports = verify.check_inequalities(constructions.build_h_odd(args.k), args.k, hosts())
+        hosts = enumerate_hosts(args.n)
+    reports = verify.check_inequalities(constructions.build_h_odd(args.k), args.k, hosts)
     violations = 0
     for report in reports:
         if not report.holds:
@@ -229,17 +221,14 @@ def cmd_bound_check(args) -> int:
             return EXIT_USAGE
         points = verify.tightness_curve(k, n_list)
         for pt in points:
-            if pt.density is None:
-                print(f"n={pt.n}: skipped ({pt.note})")
-            else:
-                print(
-                    f"n={pt.n}: red_degree={pt.red_degree} "
-                    f"t={verify.fraction_text(pt.density)} "
-                    f"gap={float(pt.gap):.6f}"
-                )
+            print(
+                f"n={pt.n}: red_degree={pt.red_degree} "
+                f"t={verify.fraction_text(pt.density)} "
+                f"gap={float(pt.gap):.6f}"
+            )
             records.append(pt.record())
         # Judged by n, not by the order the sizes were given in.
-        judged = sorted((pt for pt in points if pt.gap is not None), key=lambda pt: pt.n)
+        judged = sorted(points, key=lambda pt: pt.n)
         ok = all(pt.gap >= 0 for pt in judged)
         if judged and judged[0].n != judged[-1].n:
             ok = ok and judged[-1].gap < judged[0].gap
@@ -367,12 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_construct)
 
-    for name, func in (("hom", cmd_hom), ("density", cmd_density)):
+    for name in ("hom", "density"):
         p = sub.add_parser(name, help=f"{name} of pattern in host")
         p.add_argument("--pattern", required=True)
         p.add_argument("--host", required=True)
         p.add_argument("--method", choices=["auto", "brute", "forest"], default="auto")
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("verify-covering", help="formula-vs-count covering checks")
     p.add_argument("--k-max", type=int, required=True)
@@ -417,6 +406,8 @@ def main(argv=None) -> int:
     try:
         if args.budget < 0:
             raise ValueError(f"--budget must be >= 0, got {args.budget}")
+        if args.workers < 1:
+            raise ValueError(f"--workers must be >= 1, got {args.workers}")
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ import random
 import sys
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import chain, combinations, product
+from itertools import chain, combinations, product, repeat
 from typing import Callable, Iterable, Iterator, Optional
 
 
@@ -287,27 +287,28 @@ def host_count(n: int) -> int:
     return 3 ** pair_count(n)
 
 
-def host_from_index(n: int, index: int) -> EdgeColouredGraph:
-    """Decode one graph from the mixed-radix counter over sorted pairs.
+def _host_from_digits(n: int, digits: Iterable[int]) -> EdgeColouredGraph:
+    """The host whose pairs, in (u,v)-sorted order, take the digits in turn:
+    0 = absent, 1 = red, 2 = blue.  Its edge tuple is sorted as built, and
+    the host is valid by construction and marked so for ``require_valid``."""
+    pairs = combinations(range(n), 2)
+    edges = tuple((u, v, _COLOURS[d - 1]) for (u, v), d in zip(pairs, digits) if d)
+    g = EdgeColouredGraph(n, edges)
+    object.__setattr__(g, "_valid", True)
+    return g
 
-    Pair p (in (u,v)-sorted order) reads digit (index // 3**p) % 3, with
-    0 = absent, 1 = red, 2 = blue.  The result is valid by construction
-    and is marked so for ``require_valid``.
-    """
+
+def host_from_index(n: int, index: int) -> EdgeColouredGraph:
+    """Decode one graph from the mixed-radix counter over sorted pairs:
+    pair p (in (u,v)-sorted order) reads digit (index // 3**p) % 3."""
     total = host_count(n)
     if not 0 <= index < total:
         raise ValueError(f"host index {index} outside 0..{total - 1}")
-    edges = []
-    rem = index
-    for u, v in combinations(range(n), 2):
-        rem, digit = divmod(rem, 3)
-        if digit == 1:
-            edges.append((u, v, RED))
-        elif digit == 2:
-            edges.append((u, v, BLUE))
-    g = EdgeColouredGraph.make(n, edges)
-    object.__setattr__(g, "_valid", True)
-    return g
+    digits = []
+    for _ in range(pair_count(n)):
+        index, digit = divmod(index, 3)
+        digits.append(digit)
+    return _host_from_digits(n, digits)
 
 
 def enumerate_hosts(n: int, start: int = 0, stop: Optional[int] = None) -> Iterator[EdgeColouredGraph]:
@@ -409,15 +410,11 @@ def parallel_map(fn: Callable, jobs: list, workers: int) -> list:
 
 
 def random_host(n: int, rng: random.Random) -> EdgeColouredGraph:
-    """One host with every pair iid uniform over absent/red/blue."""
-    edges = []
-    for u, v in combinations(range(n), 2):
-        digit = rng.randrange(3)
-        if digit == 1:
-            edges.append((u, v, RED))
-        elif digit == 2:
-            edges.append((u, v, BLUE))
-    return EdgeColouredGraph.make(n, edges)
+    """One host with every pair iid uniform over absent/red/blue: one
+    ``rng.randrange(3)`` per pair, in (u,v)-sorted order."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    return _host_from_digits(n, map(rng.randrange, repeat(3, pair_count(n))))
 
 
 def random_hosts(count: int, n_max: int, seed: int) -> Iterator[EdgeColouredGraph]:

@@ -71,16 +71,8 @@ class DiscreteDistribution:
         """Outcome -> w / denominator, for nonnegative integer weights that
         sum to the denominator; checked in integers, in the mapping's order.
         The distribution keeps a copy of the mapping."""
-        d = cls._adopt(weights, denominator)
-        d._mass = dict(weights)
-        return d
-
-    @classmethod
-    def _adopt(cls, weights: dict, denominator: int) -> "DiscreteDistribution":
-        """``from_weights`` that keeps the dict itself: for a dict built
-        for the new distribution alone, which a copy would only double."""
         d = cls._checked(weights.values(), denominator, weights.items)
-        d._mass = weights
+        d._mass = dict(weights)
         return d
 
     @classmethod
@@ -136,7 +128,7 @@ class DiscreteDistribution:
         for outcome, w in self._mass.items():
             key = tuple(outcome[i] for i in idx)
             out[key] = out.get(key, 0) + w
-        return DiscreteDistribution._adopt(out, self._denominator)
+        return DiscreteDistribution.from_weights(out, self._denominator)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiscreteDistribution):
@@ -153,7 +145,7 @@ def uniform(outcomes: Iterable[Hashable]) -> DiscreteDistribution:
     pool = list(outcomes)
     if not pool:
         raise EmptySupport("cannot build a uniform distribution on nothing")
-    return DiscreteDistribution._adopt(dict.fromkeys(pool, 1), len(pool))
+    return DiscreteDistribution.from_weights(dict.fromkeys(pool, 1), len(pool))
 
 
 def entropy(d: DiscreteDistribution) -> float:
@@ -238,7 +230,7 @@ def glue(joint: DiscreteDistribution) -> DiscreteDistribution:
         for (a, b1, b2, c), w in joint._mass.items() if w
         for cp, f in rows[b1]
     }
-    return DiscreteDistribution._adopt(out, joint._denominator * lcm)
+    return DiscreteDistribution.from_weights(out, joint._denominator * lcm)
 
 
 # -- uniform homomorphism distributions ------------------------------------

@@ -109,55 +109,35 @@ def build_constraints(k: int, extra: Sequence[LpRow] = ()) -> LpProblem:
     num_vars = 6 * k + 6
     t_col = t_index(k)
     zero = Fraction(0)
+
+    def dense(entries: dict[int, int]) -> tuple[Fraction, ...]:
+        coeffs = [zero] * num_vars
+        for col, coeff in entries.items():
+            coeffs[col] = Fraction(coeff)
+        return tuple(coeffs)
+
+    covers = [("vertex", vertex_cover_row(k, idx)) for idx in range(2 * k + 2)]
+    covers += [("edge", edge_cover_row(k, idx)) for idx in range(2 * k + 1)]
     rows: list[LpRow] = []
-
-    def cover_row(row_map, kind: str) -> LpRow:
-        coeffs = [zero] * num_vars
-        for key, coeff in row_map.items():
-            coeffs[layout[key]] = Fraction(coeff)
-        coeffs[t_col] = Fraction(-1)
-        return LpRow(tuple(coeffs), "=", zero, kind)
-
-    for idx in range(2 * k + 2):
-        rows.append(cover_row(vertex_cover_row(k, idx), "vertex"))
-    for idx in range(2 * k + 1):
-        rows.append(cover_row(edge_cover_row(k, idx), "edge"))
-
-    def tie(a: int, b: int) -> LpRow:
-        coeffs = [zero] * num_vars
-        coeffs[a] = Fraction(1)
-        coeffs[b] = Fraction(-1)
-        return LpRow(tuple(coeffs), "=", zero, "tie")
-
-    for i in range(k + 1):
-        rows.append(tie(layout[("x", i)], layout[("x", 2 * k + 1 - i)]))
-        rows.append(tie(layout[("z", i)], layout[("z", 2 * k + 1 - i)]))
-    for i in range(k):
-        rows.append(tie(layout[("y", i)], layout[("y", 2 * k - i)]))
-
-    def fix_zero(col: int) -> LpRow:
-        coeffs = [zero] * num_vars
-        coeffs[col] = Fraction(1)
-        return LpRow(tuple(coeffs), "=", zero, "fix")
-
+    for kind, cover in covers:
+        entries = {layout[key]: coeff for key, coeff in cover.items()}
+        rows.append(LpRow(dense({**entries, t_col: -1}), "=", zero, kind))
+    ties = [(series, i, 2 * k + 1 - i) for i in range(k + 1) for series in "xz"]
+    ties += [("y", i, 2 * k - i) for i in range(k)]
+    for series, a, b in ties:
+        rows.append(LpRow(dense({layout[(series, a)]: 1, layout[(series, b)]: -1}), "=", zero, "tie"))
     # Classes with no colour-compatible spine image must stay empty:
     # blue leaves at an endpoint (x_0), two-paths at v_0 and v_1 (z_0, z_1).
-    rows.append(fix_zero(layout[("x", 0)]))
-    rows.append(fix_zero(layout[("z", 0)]))
-    rows.append(fix_zero(layout[("z", 1)]))
-
-    norm = [Fraction(1)] * num_vars
-    norm[t_col] = zero
-    rows.append(LpRow(tuple(norm), "=", Fraction(1), "norm"))
+    for key in (("x", 0), ("z", 0), ("z", 1)):
+        rows.append(LpRow(dense({layout[key]: 1}), "=", zero, "fix"))
+    rows.append(LpRow(dense(dict.fromkeys(range(t_col), 1)), "=", Fraction(1), "norm"))
 
     for row in extra:
         if len(row.coeffs) != num_vars:
             raise ValueError("extra row has wrong coefficient count")
         rows.append(LpRow(tuple(map(Fraction, row.coeffs)), row.relation, Fraction(row.rhs), "extra"))
 
-    objective = [zero] * num_vars
-    objective[t_col] = Fraction(1)
-    return LpProblem(num_vars, tuple(rows), tuple(objective), k)
+    return LpProblem(num_vars, tuple(rows), dense({t_col: 1}), k)
 
 
 def row_satisfied(row: LpRow, assignment: Sequence[Fraction]) -> bool:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .constructions import LabelledForest, alternating_path
 from .covering import cover_profile
@@ -50,17 +50,36 @@ def fraction_text(q: Fraction) -> str:
     return f"{digits(q.numerator)}/{digits(q.denominator)}"
 
 
-@dataclass(frozen=True)
 class InequalityReport:
-    name: str
-    k: int
-    host: str                  # canonical key of the host graph
-    lhs: Fraction
-    rhs: Fraction
+    """One check lhs <= rhs on one host, whose verdict ``holds`` is fixed
+    when the report is made: for the forest checks at the e(P)-th root, in
+    integers.  lhs and rhs, the sides every record prints (powered, for the
+    forest checks), are formed by ``sides`` on the first read of either, so
+    reading ``holds`` alone forms no power of e(P).  Two reports are equal
+    when their name, k, host and both sides are."""
 
-    @property
-    def holds(self) -> bool:
-        return self.lhs <= self.rhs
+    def __init__(
+        self, name: str, k: int, host: str, holds: bool,
+        sides: Callable[[], tuple[Fraction, Fraction]],
+    ) -> None:
+        self.name, self.k, self.host, self.holds = name, k, host, holds
+        self._form_sides = sides
+
+    @cached_property
+    def _sides(self) -> tuple[Fraction, Fraction]:
+        return self._form_sides()
+
+    lhs = property(lambda self: self._sides[0])
+    rhs = property(lambda self: self._sides[1])
+
+    def _key(self) -> tuple:
+        return self.name, self.k, self.host, self._sides
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if isinstance(other, InequalityReport) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def slack(self) -> Fraction:
@@ -75,30 +94,6 @@ class InequalityReport:
             "rhs": fraction_text(self.rhs),
             "holds": self.holds,
         }
-
-
-class _RootReport(InequalityReport):
-    """A density report whose verdict was decided at its e(P)-th root, in
-    integers.  lhs and rhs keep their meaning, the powered sides every
-    record prints; ``sides`` forms both on the first read of either, so
-    reading ``holds`` alone forms no power of e(P)."""
-
-    def __init__(
-        self, name: str, k: int, host: str, holds: bool,
-        sides: Callable[[], tuple[Fraction, Fraction]],
-    ) -> None:
-        self.__dict__.update(name=name, k=k, host=host, _holds=holds, _form_sides=sides)
-
-    @property
-    def holds(self) -> bool:
-        return self._holds
-
-    @cached_property
-    def _sides(self) -> tuple[Fraction, Fraction]:
-        return self._form_sides()
-
-    lhs = property(lambda self: self._sides[0])
-    rhs = property(lambda self: self._sides[1])
 
 
 def bound_odd(k: int) -> Fraction:
@@ -186,7 +181,7 @@ def _path_vs_forest(c: _HostCounts) -> InequalityReport:
     """
     e_p = 2 * c.k + 1
     holds = c.hom_p**c.m <= c.hom_h
-    return _RootReport("path-vs-forest", c.k, c.key, holds, lambda: (c.t_p ** (c.m * e_p), c.t_h_e_p))
+    return InequalityReport("path-vs-forest", c.k, c.key, holds, lambda: (c.t_p ** (c.m * e_p), c.t_h_e_p))
 
 
 def _forest_vs_path(c: _HostCounts) -> InequalityReport:
@@ -200,10 +195,10 @@ def _forest_vs_path(c: _HostCounts) -> InequalityReport:
     """
     e_p = 2 * c.k + 1
     if not c.hom_p:
-        return _RootReport("forest-vs-path", c.k, c.key, c.hom_h == 0, lambda: (c.t_h_e_p, Fraction(0)))
+        return InequalityReport("forest-vs-path", c.k, c.key, c.hom_h == 0, lambda: (c.t_h_e_p, Fraction(0)))
     scale = _bound_power(c.k, c.m - 1)
     holds = c.hom_h * scale.denominator <= scale.numerator * c.hom_p * c.n ** ((c.m - 1) * (e_p + 1))
-    return _RootReport(
+    return InequalityReport(
         "forest-vs-path", c.k, c.key, holds,
         lambda: (c.t_h_e_p, _bound_power(c.k, (c.m - 1) * e_p) * c.t_p**e_p),
     )
@@ -231,13 +226,13 @@ def check_eq_hp(h: LabelledForest, k: int, g: EdgeColouredGraph) -> InequalityRe
 
 
 def check_theorem_odd(k: int, g: EdgeColouredGraph) -> InequalityReport:
-    t_p = density(alternating_path(2 * k + 1), g)
-    return InequalityReport("theorem-odd", k, g.canonical_key(), t_p, bound_odd(k))
+    t_p, bound = density(alternating_path(2 * k + 1), g), bound_odd(k)
+    return InequalityReport("theorem-odd", k, g.canonical_key(), t_p <= bound, lambda: (t_p, bound))
 
 
 def check_theorem_even(k: int, g: EdgeColouredGraph) -> InequalityReport:
-    t_p = density(alternating_path(2 * k), g)
-    return InequalityReport("theorem-even", k, g.canonical_key(), t_p, bound_even(k))
+    t_p, bound = density(alternating_path(2 * k), g), bound_even(k)
+    return InequalityReport("theorem-even", k, g.canonical_key(), t_p <= bound, lambda: (t_p, bound))
 
 
 # -- tightness along the circulant family -----------------------------------
@@ -245,18 +240,17 @@ def check_theorem_even(k: int, g: EdgeColouredGraph) -> InequalityReport:
 @dataclass(frozen=True)
 class TightnessPoint:
     n: int
-    red_degree: Optional[int]
-    density: Optional[Fraction]
-    gap: Optional[Fraction]       # bound - density
-    note: str = ""
+    red_degree: int
+    density: Fraction
+    gap: Fraction       # bound - density
 
     def record(self) -> dict:
         return {
             "n": self.n,
             "red_degree": self.red_degree,
-            "density": None if self.density is None else fraction_text(self.density),
-            "gap": None if self.gap is None else fraction_text(self.gap),
-            "note": self.note,
+            "density": fraction_text(self.density),
+            "gap": fraction_text(self.gap),
+            "note": "",
         }
 
 
@@ -269,8 +263,9 @@ def tightness_curve(k: int, n_list: Sequence[int]) -> list[TightnessPoint]:
     optimum (k+1)(n-1)/(2k+1).  The admissible degrees (those with a
     negation-closed residue set: any degree on even n, even degrees on odd n)
     nearest that optimum on each side are both evaluated, and the one of
-    larger density is kept, the lower on a tie.  An n admitting neither is
-    reported and skipped.  A size below 1 raises ValueError.
+    larger density is kept, the lower on a tie.  Both walks stop inside
+    0..n-1: degree 0 is admissible, and so is n-1, which the optimum never
+    exceeds.  A size below 1 raises ValueError.
     """
     bound = bound_odd(k)
     points = []
@@ -279,22 +274,13 @@ def tightness_curve(k: int, n_list: Sequence[int]) -> list[TightnessPoint]:
             raise ValueError(f"host size must be >= 1, got {n}")
         optimum = Fraction((k + 1) * (n - 1), 2 * k + 1)
         below, above = math.floor(optimum), math.ceil(optimum)
-        while below >= 0 and symmetric_residues(n, below) is None:
+        while symmetric_residues(n, below) is None:
             below -= 1
-        while above <= n - 1 and symmetric_residues(n, above) is None:
+        while symmetric_residues(n, above) is None:
             above += 1
-        best = None
-        for degree in sorted({below, above}):
-            if symmetric_residues(n, degree) is None:
-                continue
-            t = Fraction(degree ** (k + 1) * (n - 1 - degree) ** k, n ** (2 * k + 1))
-            if best is None or t > best[1]:
-                best = (degree, t)
-        if best is None:
-            points.append(TightnessPoint(n, None, None, None, "no valid residue set"))
-            continue
-        degree, t = best
-        points.append(TightnessPoint(n, degree, t, bound - t))
+        t = {d: Fraction(d ** (k + 1) * (n - 1 - d) ** k, n ** (2 * k + 1)) for d in (below, above)}
+        degree = max(sorted(t), key=t.__getitem__)
+        points.append(TightnessPoint(n, degree, t[degree], bound - t[degree]))
     return points
 
 
@@ -368,16 +354,6 @@ class ExpansionReport:
     @property
     def holds(self) -> bool:
         return self.alt_path + self.red_path == self.red_edge_sq - self.red_walk
-
-    def record(self) -> dict:
-        return {
-            "n": self.n,
-            "alt_path": self.alt_path,
-            "red_path": self.red_path,
-            "red_edge_sq": self.red_edge_sq,
-            "red_walk": self.red_walk,
-            "holds": self.holds,
-        }
 
 
 def expansion_identity(g: EdgeColouredGraph) -> ExpansionReport:

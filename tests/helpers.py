@@ -62,6 +62,9 @@ def brute_two_walks(g: EdgeColouredGraph, v: int, first: Colour, second: Colour)
 
 
 def random_graph(rng: random.Random, n: int) -> EdgeColouredGraph:
+    """A host drawn pair by pair: one ``rng.randrange(3)`` per pair u < v,
+    in (u, v) order (0 absent, 1 red, 2 blue), then sorted by ``make``;
+    the oracle for ``ecgraph.random_host``."""
     edges = []
     for u in range(n):
         for v in range(u + 1, n):

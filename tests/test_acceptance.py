@@ -69,7 +69,7 @@ from helpers import p3_loopless_ceiling, random_forest, random_graph
 SEED = 20260809
 
 K_MAX_FORMULAS = 60     # closed-form evaluations, exact
-K_MAX_ARRAYS = 40       # physically materialised image arrays (~2.2 GB peak)
+K_MAX_ARRAYS = 40       # image arrays laid out one class block at a time (~70 MB peak at k=40)
 K_MAX_TUPLES = 8        # full Python-object forests
 
 

@@ -539,6 +539,8 @@ class TestErrorPaths:
         ("bound-check --pattern-k 1 --odd --tightness -3", None),
         ("--budget -5 entropy-check --fixture H3_small --host missing.ecg", None),
         ("--budget -1 verify-ineq --k 1 --hosts exhaustive --n 2", None),
+        ("--workers 0 bound-check --pattern-k 1 --odd --exhaustive 3", None),
+        ("--workers -3 verify-covering --k-max 4", None),
     ])
     def test_bad_input_exits_2(self, tmp_path, capsys, command, extra):
         argv = command.split()
@@ -559,6 +561,17 @@ class TestErrorPaths:
         assert main("--budget -5 entropy-check --fixture H3_small --host missing.ecg".split()) == 2
         assert capsys.readouterr().err == "error: --budget must be >= 0, got -5\n"
         assert main("--budget 0 verify-ineq --k 1 --hosts exhaustive --n 1".split()) == 3
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_names_the_flag(self, capsys, monkeypatch, workers):
+        # Refused before any work, not clamped to one worker.
+        def unused(*args, **kwargs):
+            raise AssertionError("worked before the workers check")
+
+        monkeypatch.setattr(constructions, "alternating_path", unused)
+        argv = ["--workers", workers, "bound-check", "--pattern-k", "1", "--odd", "--exhaustive", "3"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: --workers must be >= 1, got {workers}\n"
 
     @pytest.mark.parametrize("n_max", ["0", "-2"])
     def test_n_max_below_one_names_the_flag(self, capsys, n_max):
@@ -622,3 +635,19 @@ class TestErrorPaths:
         )
         assert result.returncode == 0
         assert "PASS" in result.stdout
+
+
+def test_readme_cli_examples_parse():
+    # Each ``altpaths ...`` line of the README's CLI block names a command
+    # and flags the parser has.  Nothing is run.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [line.split("#", 1)[0].split() for line in block.splitlines() if line.startswith("altpaths ")]
+    assert len(examples) >= 9
+    parser = cli.build_parser()
+    for words in examples:
+        try:
+            args = parser.parse_args(words[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {' '.join(words)}")
+        assert args.command in words and args.func is not None

@@ -268,6 +268,20 @@ def test_generated_graphs_always_validate(n, rng):
     assert validate(random_host(n, rng)) is None
 
 
+def test_random_host_matches_the_per_pair_oracle():
+    # The shared digit decoder draws what the per-pair loop drew, leaves the
+    # generator where it left it, and marks only valid hosts valid.
+    for seed in range(50):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for n in range(9):
+            g = random_host(n, rng)
+            assert (g.n, g.edges) == (n, random_graph(ref, n).edges)
+            assert rng.getstate() == ref.getstate()
+            assert g.__dict__["_valid"] is True and validate(g) is None
+    with pytest.raises(ValueError, match="nonnegative"):
+        random_host(-1, random.Random(0))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_random_hosts_drawn_lazily_in_the_list_order(seed):
     # The hosts the list comprehension drew before the corpus became lazy.

@@ -326,10 +326,12 @@ class TestTightness:
     def test_best_admissible_circulant(self):
         # A circulant of red degree d carries n d^(k+1) (n-1-d)^k homs of the
         # (2k+1)-edge alternating path; the curve must pick the best
-        # admissible d, the lowest on a tie.
-        sizes = range(3, 61)
-        for k in (1, 2, 3):
-            for n, pt in zip(sizes, tightness_curve(k, sizes)):
+        # admissible d, the lowest on a tie.  Every n >= 1 admits one (degree
+        # 0 always), so every size gets a point, with an admissible degree.
+        sizes = range(1, 61)
+        for k in (0, 1, 2, 3):
+            for n, pt in zip(sizes, tightness_curve(k, sizes), strict=True):
+                assert symmetric_residues(n, pt.red_degree) is not None, (k, n)
                 best = None
                 for d in range(n):
                     if symmetric_residues(n, d) is None:
