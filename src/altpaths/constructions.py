@@ -409,35 +409,31 @@ class LabelledForest:
         return phi
 
 
-# The array build and its phi self-check peak at about 95 traced bytes per
-# edge (H_k at k = 8, 10 and 12), 49 of them the built forest.  No command
-# reads a built forest's tuples: ``hom_forest`` compiles its plan from the
-# class blocks and ``format_ecg`` and ``format_roles`` read the columns.  At
-# k = 12 ``verify-ineq`` peaks at 155 MB RSS and ``construct`` at 285 MB, most
-# of it in ``format_ecg``.  H_15 (3,690,271 edges) builds and H_16 (5,035,569)
-# is refused.  The cap stays although a build at it needs only about 475 MB:
-# moving it or ``covering._MATERIALISE_CAP`` would change exit codes and the
-# method that ``verify-covering`` picks by default.
+# The array build and its phi self-check peak at about 52 traced bytes per
+# edge (H_k at k = 10 and 12), 49 of them the built forest: its rows are laid
+# out in edge order, not sorted in a copy, and ``_certified_phi`` checks phi
+# in pieces.  No command reads a built forest's tuples: ``hom_forest``
+# compiles its plan from the class blocks and ``format_ecg`` and
+# ``format_roles`` read the columns.  At k = 12 ``verify-ineq`` peaks at 99 MB
+# RSS and ``construct`` at 103 MB.  H_15 (3,690,271 edges) builds and H_16
+# (5,035,569) is refused.  The cap stays although a build at it needs only
+# about 260 MB: moving it or ``covering._MATERIALISE_CAP`` would change exit
+# codes and the method that ``verify-covering`` picks by default.
 _MATERIALISE_EDGES = 5_000_000
 
 
 def _edge_rows(eblocks: list[EdgeBlock], starts: np.ndarray, edge_count: int) -> np.ndarray:
-    """The ``(u, v, colour)`` rows of every edge, block after block."""
-    # Per edge block: edge count, first tail, tail step (0 for a fan, 1 for
-    # parallel edges), first head and colour; an edge's offset in its block
-    # advances the head, and the tail by the step.
-    ecount, a0, step, b0, colour = np.array(
-        [
-            (eb.count, starts[eb.a_block], not eb.fan, starts[eb.b_block], eb.colour)
-            for eb in eblocks
-        ],
-        dtype=np.int64,
-    ).reshape(-1, 5).T
-    offset = np.arange(edge_count) - np.repeat(np.cumsum(ecount) - ecount, ecount)
+    """The ``(u, v, colour)`` rows of every edge, block after block, each
+    column written in place: an edge's offset in its block advances the
+    head, and the tail too unless the block is a fan."""
     rows = np.empty((edge_count, 3), dtype=np.int64)
-    rows[:, 0] = np.repeat(a0, ecount) + np.repeat(step, ecount) * offset
-    rows[:, 1] = np.repeat(b0, ecount) + offset
-    rows[:, 2] = np.repeat(colour, ecount)
+    at = 0
+    for eb in eblocks:
+        a, b, stop = starts[eb.a_block], starts[eb.b_block], at + eb.count
+        rows[at:stop, 0] = a if eb.fan else np.arange(a, a + eb.count)
+        rows[at:stop, 1] = np.arange(b, b + eb.count)
+        rows[at:stop, 2] = eb.colour
+        at = stop
     return rows
 
 
@@ -456,9 +452,12 @@ def materialise(length: int, plan: Plan) -> LabelledForest:
     roles = np.array([(_KIND_CODES[b.kind], b.j) for b in vblocks], dtype=np.int64)
     roles = np.repeat(roles, vcount, axis=0)
     phi = np.repeat(np.array([b.phi for b in vblocks], dtype=np.int64), vcount)
-    graph = EdgeColouredGraph.from_edge_array(
-        len(phi), _edge_rows(eblocks, np.cumsum(vcount) - vcount, edge_count)
-    )
+    # Edge blocks laid out by (first tail, first head) give rows in ``make``'s
+    # order, which ``from_edge_array`` keeps unsorted: a fan's tail is one
+    # spine vertex and any other tail block is the tail of no other block.
+    starts = np.cumsum(vcount) - vcount
+    layout = sorted(eblocks, key=lambda eb: (starts[eb.a_block], starts[eb.b_block]))
+    graph = EdgeColouredGraph.from_edge_array(len(phi), _edge_rows(layout, starts, edge_count))
     # The blocks name the forest's few distinct subtrees, so ``hom_forest``
     # compiles its plan from them (``homcount._block_plan``).
     object.__setattr__(graph, "_blocks", (vblocks, eblocks))
@@ -473,13 +472,24 @@ def materialise(length: int, plan: Plan) -> LabelledForest:
 def homomorphism_violation(f: LabelledForest) -> Optional[tuple[int, int, Colour]]:
     """First forest edge, in edge order, whose phi-image is not a spine
     edge of its colour; ValueError for an image outside the spine."""
-    phi = f.phi_array()
     e = f.graph.edge_array()
-    bad = np.flatnonzero(_spine_steps(f.spine_edges)[e[:, 2], phi[e[:, 0]]] != phi[e[:, 1]])
-    if not bad.size:
+    i = _first_bad_edge(e, f.phi_array(), f.spine_edges)
+    if i is None:
         return None
-    u, v, c = e[bad[0]].tolist()
+    u, v, c = e[i].tolist()
     return u, v, Colour(c)
+
+
+def _first_bad_edge(e: np.ndarray, phi: np.ndarray, length: int) -> Optional[int]:
+    """Index of the first row of ``e`` whose phi-image is not a spine edge
+    of its colour, checked ``_WRITE_ROWS`` rows at a time."""
+    steps = _spine_steps(length)
+    for start in range(0, len(e), _WRITE_ROWS):
+        piece = e[start:start + _WRITE_ROWS]
+        bad = np.flatnonzero(steps[piece[:, 2], phi[piece[:, 0]]] != phi[piece[:, 1]])
+        if bad.size:
+            return start + int(bad[0])
+    return None
 
 
 def _half_edges(e: np.ndarray, n: int, index: type) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -488,9 +498,8 @@ def _half_edges(e: np.ndarray, n: int, index: type) -> tuple[np.ndarray, np.ndar
     edge ``h`` from its ``u`` end, half-edge ``m + h`` from its ``v`` end),
     and the ``n + 1`` group offsets, all of integer type ``index``."""
     m = len(e)
-    degree = np.bincount(e[:, 0], minlength=n) + np.bincount(e[:, 1], minlength=n)
     offsets = np.zeros(n + 1, dtype=index)
-    np.cumsum(degree, out=offsets[1:])
+    np.cumsum(np.bincount(e[:, 0], minlength=n) + np.bincount(e[:, 1], minlength=n), out=offsets[1:])
     tails = np.empty(2 * m, dtype=index)
     tails[:m], tails[m:] = e[:, 0], e[:, 1]
     order = np.argsort(tails, kind="stable")
@@ -502,7 +511,7 @@ def _half_edges(e: np.ndarray, n: int, index: type) -> tuple[np.ndarray, np.ndar
     heads = np.bitwise_xor(e[:, 0], e[:, 1], out=np.empty(m, dtype=index), casting="unsafe")[edge]
     colours = e[:, 2].astype(np.int8)[edge]
     del edge
-    heads ^= np.repeat(np.arange(n, dtype=index), degree)
+    heads ^= np.repeat(np.arange(n, dtype=index), np.subtract(offsets[1:], offsets[:-1], dtype=np.intp))
     return heads, colours, offsets
 
 
@@ -513,6 +522,47 @@ def recompute_phi(f: LabelledForest) -> tuple[int, ...]:
 
 
 def _forced_images(f: LabelledForest) -> np.ndarray:
+    """Every vertex's spine image, forced from the pinned vertices: phi
+    itself when ``_certified_phi`` proves that, else ``_walk_images``."""
+    phi = _certified_phi(f)
+    return _walk_images(f) if phi is None else phi
+
+
+def _pinned(roles: np.ndarray) -> np.ndarray:
+    """Bool mask of the pinned vertices by kind code (spine, yminus, aux).
+    Code -1, a kind outside ROLE_KINDS, reads the extra last slot: not pinned."""
+    is_pinned = np.zeros(len(ROLE_KINDS) + 1, dtype=bool)
+    is_pinned[_PINNED_CODES] = True
+    return is_pinned[roles[:, 0]]
+
+
+def _certified_phi(f: LabelledForest) -> Optional[np.ndarray]:
+    """phi, when an O(m) certificate proves that the walk would return it,
+    else None, never an error: one image per vertex, on the spine; every
+    pin kept; every edge onto a spine edge of its colour; every unpinned
+    vertex the larger end of an edge.  Then the least vertex of each
+    component has no lower neighbour, so it is pinned and the walk reaches
+    every vertex, and as a spine vertex has at most one neighbour of each
+    colour, every step forces phi's image, never none or two."""
+    n, e = f.graph.n, f.graph.edge_array()
+    try:
+        phi, roles = f.phi_array(), f.role_array()
+    except ValueError:  # an image outside the spine, or a value outside int64
+        return None
+    ends = e[:, :2]
+    if len(phi) != n or len(roles) != n or (e.size and not 0 <= ends.min() <= ends.max() < n):
+        return None
+    covered = _pinned(roles)
+    if not np.array_equal(phi[covered], roles[covered, 1]):
+        return None
+    if _first_bad_edge(e, phi, f.spine_edges) is not None:
+        return None
+    for start in range(0, len(e), _WRITE_ROWS):
+        covered[ends[start:start + _WRITE_ROWS].max(axis=1)] = True
+    return phi if covered.all() else None
+
+
+def _walk_images(f: LabelledForest) -> np.ndarray:
     """Every vertex's spine image, forced from the pinned vertices.
 
     Pins: spine vertices to themselves, each yminus vertex to its class
@@ -533,11 +583,7 @@ def _forced_images(f: LabelledForest) -> np.ndarray:
     steps = _spine_steps(length).astype(index)
     image = np.full(n, -1, dtype=index)
     roles = f.role_array()
-    # A lookup table by kind code; its extra last slot, read by code -1 (a
-    # kind outside ROLE_KINDS), is not pinned.
-    is_pinned = np.zeros(len(ROLE_KINDS) + 1, dtype=bool)
-    is_pinned[_PINNED_CODES] = True
-    pinned = np.flatnonzero(is_pinned[roles[:, 0]])
+    pinned = np.flatnonzero(_pinned(roles))
     at = roles[pinned, 1]
     outside = np.flatnonzero((at < 0) | (at > length))
     if outside.size:

@@ -25,7 +25,7 @@ from .constructions import (
     plan_odd,
     sequences,
 )
-from .ecgraph import np, parallel_map
+from .ecgraph import _WRITE_ROWS, np, parallel_map
 
 # Coefficient rows are maps (series, index) -> coefficient with
 # series in {"x", "y", "z"}; out-of-range indexes are dropped.
@@ -141,7 +141,11 @@ def cover_profile(f: LabelledForest) -> CoverProfile:
         phi = f.phi_array()
         e = f.graph.edge_array()
         vertex_cover = np.bincount(phi, minlength=f.spine_edges + 1)
-        edge_cover = np.bincount(np.minimum(phi[e[:, 0]], phi[e[:, 1]]), minlength=f.spine_edges)
+        # An edge's image is the left end of its spine edge, tallied in pieces.
+        edge_cover = np.zeros(f.spine_edges, dtype=np.int64)
+        for start in range(0, len(e), _WRITE_ROWS):
+            piece = e[start:start + _WRITE_ROWS]
+            edge_cover += np.bincount(np.minimum(phi[piece[:, 0]], phi[piece[:, 1]]), minlength=f.spine_edges)
         cached = CoverProfile(tuple(vertex_cover.tolist()), tuple(edge_cover.tolist()))
         object.__setattr__(f, "_cover_profile", cached)
     return cached

@@ -103,12 +103,20 @@ class EdgeColouredGraph:
     @staticmethod
     def from_edge_array(n: int, edges: np.ndarray) -> "EdgeColouredGraph":
         """Build a graph from an int64 ``(m, 3)`` array of rows ``(u, v,
-        colour)``, rows put into the order ``make`` gives (``np.lexsort``);
-        the array becomes the graph's ``edge_array()``."""
-        arr = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
+        colour)``, rows put into the order ``make`` gives; the array becomes
+        the graph's read-only ``edge_array()``.  Rows already strictly
+        increasing by ``(u, v)`` are kept: an int64 array that owns its data
+        is adopted, and made read-only, and anything else is copied once.
+        Other rows are sorted into a new array (``np.lexsort``)."""
+        arr = np.asarray(edges, dtype=np.int64)
+        arr = arr if arr.shape[1:] == (3,) else arr.reshape(-1, 3)
         if ((arr[:, 2] != RED) & (arr[:, 2] != BLUE)).any():
             raise ValueError("edge colours must be 0 (red) or 1 (blue)")
-        arr = arr[np.lexsort(arr.T[::-1])]
+        u, v = arr[:, 0], arr[:, 1]
+        if ((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))).all():
+            arr = np.require(arr, requirements="CO")
+        else:
+            arr = arr[np.lexsort(arr.T[::-1])]
         arr.flags.writeable = False
         g = object.__new__(EdgeColouredGraph)
         object.__setattr__(g, "n", n)

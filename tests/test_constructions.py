@@ -18,9 +18,11 @@ from altpaths.constructions import (
     LabelledForest,
     SequenceTriple,
     _MATERIALISE_EDGES,
+    _certified_phi,
     _half_edges,
     _spine_steps,
     _spine_table,
+    _walk_images,
     alternating_path,
     build_h_even,
     build_h_odd,
@@ -371,6 +373,70 @@ class TestRecomputePhi:
             recompute_phi(LabelledForest(f.graph, tuple(roles), f.phi, f.spine_edges))
 
 
+def _certificate_cases():
+    """The fixtures, H_1..H_8, the even spines H_1..H_6, and the random
+    plans of ``TestRecomputePhi`` with every corruption of each."""
+    forests = [fixture(name) for name in FIXTURE_NAMES]
+    forests += [build_h_odd(k) for k in range(1, 9)] + [build_h_even(k) for k in range(1, 7)]
+    rng = random.Random(505)
+    for _ in range(120):
+        f = materialise(*_random_plan(rng))
+        forests += [f, *_corruptions(f, rng)]
+    return forests
+
+
+class TestCertificate:
+    def test_answers_only_with_the_walks_images(self):
+        answered = declined = 0
+        for f in _certificate_cases():
+            phi = _certified_phi(f)
+            if phi is None:
+                declined += 1
+                continue
+            answered += 1
+            assert np.array_equal(phi, _walk_images(f))
+            assert tuple(phi.tolist()) == recompute_phi_oracle(f) == f.phi
+        # Every built forest is answered, and so is a corruption that leaves
+        # phi consistent (a moved pin that kept its value, a fitting edge).
+        assert answered > 150 and declined > 400
+
+    def test_taken_on_every_built_forest(self, monkeypatch):
+        def no_walk(f):
+            raise AssertionError("the walk ran on a built forest")
+
+        monkeypatch.setattr(constructions, "_walk_images", no_walk)
+        assert len(_certificate_cases()) == 17 + 5 * 120
+        with pytest.raises(AssertionError, match="the walk ran"):
+            recompute_phi(next(_corruptions(fixture("H5"), random.Random(1))))
+
+    def test_least_vertex_reached_through_a_higher_one(self):
+        # Vertex 2 is the least of its component, unpinned, and forced only
+        # from the pin above it: a phi the walk proves and the certificate
+        # cannot.
+        graph = EdgeColouredGraph.make(4, [(0, 1, RED), (2, 3, RED)])
+        roles = (("spine", 0), ("spine", 1), ("yplus", 0), ("yminus", 0))
+        f = LabelledForest(graph, roles, (0, 1, 1, 0), 1)
+        assert _certified_phi(f) is None
+        assert recompute_phi(f) == recompute_phi_oracle(f) == f.phi
+
+    def test_declines_an_isolated_unpinned_vertex_and_a_flipped_colour(self):
+        f = fixture("H3_large")
+        flipped, _, isolated, _ = _corruptions(f, random.Random(7))
+        for bad in (flipped, isolated):
+            assert _certified_phi(bad) is None
+            assert _outcome(recompute_phi, bad) == _outcome(recompute_phi_oracle, bad)
+        assert _outcome(recompute_phi, isolated) is ValueError
+
+    @pytest.mark.parametrize("phi", [(2**70,), (-1,), (), (0, 0)])
+    def test_declines_a_phi_it_cannot_read(self, phi):
+        # An image past int64 or off the spine, or a phi of the wrong length:
+        # the certificate declines and the walk forces the pinned images.
+        f = fixture("H3_small")
+        bad = LabelledForest(f.graph, f.roles, f.phi[:-1] + phi, f.spine_edges)
+        assert _certified_phi(bad) is None
+        assert recompute_phi(bad) == recompute_phi_oracle(bad) == f.phi
+
+
 class TestImagesOutsideSpine:
     @pytest.mark.parametrize("image", [-1, 7, 2**70])
     def test_rejected(self, image):
@@ -411,6 +477,43 @@ def test_materialise_memory_per_edge():
     finally:
         tracemalloc.stop()
     assert peak <= 170 * forest.graph.num_edges()
+
+
+def test_materialise_memory_per_edge_without_sort_or_walk():
+    # H_10 (533,631 edges) built and certified at about 52 traced bytes per
+    # edge: its rows need no sorted copy and its phi no half-edge table.
+    plan = plan_odd(10, sequences(10))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        forest = materialise(21, plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 70 * forest.graph.num_edges()
+
+
+def test_built_rows_are_laid_out_in_edge_order(monkeypatch):
+    def no_sort(*args, **kwargs):
+        raise AssertionError("np.lexsort called")
+
+    monkeypatch.setattr(np, "lexsort", no_sort)
+    for k in range(1, 11):
+        build_h_odd(k)
+    for name in FIXTURE_NAMES:
+        fixture(name)
+    for k in range(1, 7):
+        build_h_even(k)
+    with pytest.raises(AssertionError, match="lexsort"):
+        EdgeColouredGraph.from_edge_array(3, np.array([[1, 2, 0], [0, 1, 0]]))
+
+
+def test_shuffled_rows_come_out_in_make_order():
+    h = build_h_odd(3)
+    rows = np.random.default_rng(33).permutation(h.graph.edge_array())
+    g = EdgeColouredGraph.from_edge_array(h.graph.n, rows)
+    assert np.array_equal(g.edge_array(), h.graph.edge_array())
+    assert g == EdgeColouredGraph.make(h.graph.n, h.graph.edges)
 
 
 def test_materialise_check_survives_optimised_mode():

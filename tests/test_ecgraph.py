@@ -327,6 +327,26 @@ class TestFromEdgeArray:
             assert all(type(c) is Colour and type(u) is int for u, _, c in g.edges)
             assert validate(g) is None
 
+    def test_rows_in_order_by_u_v_only_are_kept(self):
+        # A repeated (u, v) is not in that order, so it is sorted by colour.
+        g = EdgeColouredGraph.from_edge_array(2, np.array([[0, 1, 1], [0, 1, 0]]))
+        assert g.edge_array().tolist() == [[0, 1, 0], [0, 1, 1]]
+
+    def test_caller_cannot_alter_a_built_graph(self):
+        rows = [[0, 1, 0], [0, 2, 1], [1, 2, 0]]
+        whole = np.array(rows + [[5, 6, 1]], dtype=np.int64)
+        own = whole[:3].copy()
+        kept = EdgeColouredGraph.from_edge_array(3, own)  # adopted, read-only
+        with pytest.raises(ValueError, match="read-only"):
+            own[0, 0] = 2
+        for given in (whole[:3], whole[:3][::-1], whole[:3].ravel()):
+            g = EdgeColouredGraph.from_edge_array(3, given)
+            assert g.edge_array().base is None and not g.edge_array().flags.writeable
+            whole[0, 1] += 1
+            assert g.edge_array().tolist() == rows, given
+            whole[0, 1] -= 1
+        assert kept.edge_array().tolist() == rows
+
     def test_rejects_a_colour_outside_red_and_blue(self):
         with pytest.raises(ValueError, match="edge colours"):
             EdgeColouredGraph.from_edge_array(3, np.array([[0, 1, 2]]))
